@@ -86,7 +86,10 @@ func (c Config) Validate() error {
 }
 
 // Builder grows and shrinks an overlay incrementally. It is not safe
-// for concurrent use.
+// for concurrent use. Add and Remove leave the neighbour lists they
+// touch stale rather than rebuild them (the maintenance loop never reads
+// them); an owner about to route heavily over the graph may call
+// Graph().Settle() first.
 type Builder struct {
 	g       *graph.Graph
 	cfg     Config
@@ -331,5 +334,6 @@ func Grow(space metric.Space, cfg Config, src *rng.Source) (*graph.Graph, error)
 			return nil, err
 		}
 	}
+	b.g.Settle()
 	return b.Graph(), nil
 }

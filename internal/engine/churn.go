@@ -507,6 +507,7 @@ func (c *churnState) rebuildLinks(r *runner, p metric.Point) {
 			}
 		}
 	}
+	r.g.Settle()
 }
 
 // repairAt redraws q's long links whose target is the dead node — the
@@ -523,6 +524,7 @@ func (c *churnState) repairAt(r *runner, q, dead metric.Point) {
 			}
 		}
 	}
+	r.g.Settle()
 }
 
 // drawLink samples one long-link target for p from the paper's

@@ -44,6 +44,7 @@ func FailLinks(g *graph.Graph, p float64, src *rng.Source) (down int, err error)
 			}
 		}
 	}
+	g.Settle()
 	return down, nil
 }
 

@@ -61,6 +61,7 @@ func BuildIdeal(space metric.Space, cfg BuildConfig, src *rng.Source) (*Graph, e
 	if err := populateLinks(g, cfg, src, nil); err != nil {
 		return nil, err
 	}
+	g.Settle()
 	return g, nil
 }
 
@@ -86,13 +87,17 @@ func BuildIdealWithPresence(space metric.Space, cfg BuildConfig, present []bool,
 	if err := populateLinks(g, cfg, src, redirect); err != nil {
 		return nil, err
 	}
+	g.Settle()
 	return g, nil
 }
 
-// populateLinks draws cfg.Links long links for every existing node from
-// the space's target sampler. redirect, when non-nil, maps a sampled
-// target to the point actually linked (or rejects it); the sample is
-// retried a bounded number of times on rejection.
+// populateLinks draws cfg.Links long links for every existing node of
+// the link-free graph g from the space's target sampler. redirect, when
+// non-nil, maps a sampled target to the point actually linked (or
+// rejects it); the sample is retried a bounded number of times on
+// rejection. Every node's link slice is carved at capacity cfg.Links
+// from one arena, and the reverse index is built in one pass at the
+// end.
 func populateLinks(g *Graph, cfg BuildConfig, src *rng.Source, redirect func(*Graph, metric.Point, metric.Point) (metric.Point, bool)) error {
 	if cfg.Links == 0 {
 		return nil
@@ -101,11 +106,13 @@ func populateLinks(g *Graph, cfg BuildConfig, src *rng.Source, redirect func(*Gr
 	if err != nil {
 		return err
 	}
+	arena := make([]Link, g.AliveCount()*cfg.Links)
 	for i := 0; i < g.Size(); i++ {
 		p := metric.Point(i)
 		if !g.Exists(p) {
 			continue
 		}
+		g.nodes[p].long, arena = arena[:0:cfg.Links], arena[cfg.Links:]
 		for k := 0; k < cfg.Links; k++ {
 			const retries = 32
 			linked := false
@@ -120,9 +127,10 @@ func populateLinks(g *Graph, cfg BuildConfig, src *rng.Source, redirect func(*Gr
 						continue
 					}
 				}
-				if err := g.AddLong(p, target); err != nil {
+				if err := g.checkLink(p, target); err != nil {
 					return err
 				}
+				g.appendLong(p, target)
 				linked = true
 				break
 			}
@@ -135,9 +143,7 @@ func populateLinks(g *Graph, cfg BuildConfig, src *rng.Source, redirect func(*Gr
 				for axis := 1; axis <= g.space.Dim(); axis++ {
 					for _, dir := range [2]int{+axis, -axis} {
 						if q, ok := g.ShortNeighbor(p, dir); ok {
-							if err := g.AddLong(p, q); err != nil {
-								return err
-							}
+							g.appendLong(p, q)
 							break fallback
 						}
 					}
@@ -145,6 +151,7 @@ func populateLinks(g *Graph, cfg BuildConfig, src *rng.Source, redirect func(*Gr
 			}
 		}
 	}
+	g.indexRev()
 	return nil
 }
 
@@ -174,15 +181,15 @@ func BuildDeterministic(space metric.Space, b int, src *rng.Source) (*Graph, err
 					for _, dir := range [2]int{+axis, -axis} {
 						q, ok := space.Offset(p, dir, d)
 						if ok && q != p {
-							if err := g.AddLong(p, q); err != nil {
-								return nil, err
-							}
+							g.appendLong(p, q)
 						}
 					}
 				}
 			}
 		}
 	}
+	g.indexRev()
+	g.Settle()
 	return g, nil
 }
 
@@ -203,9 +210,7 @@ func BuildDeterministicPowers(space metric.Space, b int) (*Graph, error) {
 				for _, dir := range [2]int{+axis, -axis} {
 					q, ok := space.Offset(p, dir, step)
 					if ok && q != p {
-						if err := g.AddLong(p, q); err != nil {
-							return nil, err
-						}
+						g.appendLong(p, q)
 					}
 				}
 			}
@@ -214,5 +219,7 @@ func BuildDeterministicPowers(space metric.Space, b int) (*Graph, error) {
 			}
 		}
 	}
+	g.indexRev()
+	g.Settle()
 	return g, nil
 }

@@ -251,3 +251,24 @@ func BenchmarkBuildIdeal(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkForEachNeighbor enumerates the neighbours of every node of
+// a settled ideal ring in point order, the scan greedy routing makes
+// on every hop.
+func BenchmarkForEachNeighbor(b *testing.B) {
+	const n = 1 << 14
+	g, err := BuildIdeal(mustRing(b, n), PaperConfig(14), rng.New(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	visits := 0
+	count := func(metric.Point) { visits++ }
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g.ForEachNeighbor(metric.Point(i%n), count)
+	}
+	if visits == 0 {
+		b.Fatal("no neighbour visited")
+	}
+}

@@ -188,7 +188,9 @@ type Result struct {
 // immutable after creation and safe for concurrent use as long as the
 // underlying graph is not mutated, each goroutine uses its own
 // rng.Source, and Options.Congestion (when set) tolerates concurrent
-// calls.
+// calls. The graph may hold stale neighbour lists: reading them never
+// writes, and only the graph's owner settles them, between searches
+// (see package graph).
 type Router struct {
 	g   *graph.Graph
 	opt Options
