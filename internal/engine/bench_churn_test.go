@@ -26,6 +26,7 @@ func newChurnBenchRunner(tb testing.TB, nodes int) *runner {
 	cfg.Mode = ModeLive
 	cfg.Churn = churnKnobs()
 	r := newRunner(g, []Message{{From: 0, Key: metric.Point(nodes / 2)}}, Schedule{}, cfg, rng.New(1))
+	r.startLive(1) // the eager plan's single shard: strand resumes push here
 	// A dead arc a quarter of the way around: nearestAlive must BFS
 	// across it, and node nodes/4 is a dead park spot for strands.
 	for p := nodes / 4; p < nodes/4+8; p++ {
@@ -42,6 +43,7 @@ func newChurnBenchRunner(tb testing.TB, nodes int) *runner {
 func TestStrandHotPathAllocs(t *testing.T) {
 	r := newChurnBenchRunner(t, 256)
 	c := r.churn
+	h := r.shards.shards[0].h
 	r.doneAt[0] = -1
 	t0 := 0.0
 	cycle := func() {
@@ -49,7 +51,7 @@ func TestStrandHotPathAllocs(t *testing.T) {
 		r.strand(0, 3, t0)
 		op := c.ops.Pop()
 		r.churnOp(op) // resumeStranded: pushes the replay event
-		r.h.Pop()     // discard it; the loop mechanics are pinned elsewhere
+		h.Pop()       // discard it; the loop mechanics are pinned elsewhere
 		t0 += 1
 	}
 	cycle() // warm the op queue and event heap

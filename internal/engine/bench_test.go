@@ -34,14 +34,14 @@ func newCyclicSnapshotRunner(tb testing.TB, nodes, pathLen int) *runner {
 	return r
 }
 
-// stepEvents drives k events through the loop, re-injecting the
-// message after its path exhausts so the loop never goes idle.
-func (r *runner) stepEvents(k int) {
+// stepSnapshot replays k snapshot events, re-injecting the message
+// after its path exhausts so the loop never goes idle.
+func (r *runner) stepSnapshot(k int) {
 	for i := 0; i < k; i++ {
 		if r.h.Len() == 0 {
-			r.enqueue(Injection{Msg: 0, Time: r.out.Makespan + 1})
+			r.enqueue(Injection{Msg: 0, Time: r.seq.makespan + 1})
 		}
-		r.processOne(r.h.Pop())
+		r.replayHop(r.h.Pop())
 	}
 }
 
@@ -50,18 +50,18 @@ func (r *runner) stepEvents(k int) {
 // a default config leaves nil: disabled telemetry must stay free.
 func TestSnapshotHotPathAllocs(t *testing.T) {
 	r := newCyclicSnapshotRunner(t, 64, 4096)
-	r.stepEvents(4096) // warm the heap, every queue, and the counters
-	if avg := testing.AllocsPerRun(50, func() { r.stepEvents(256) }); avg != 0 {
+	r.stepSnapshot(4096) // warm the heap, every queue, and the counters
+	if avg := testing.AllocsPerRun(50, func() { r.stepSnapshot(256) }); avg != 0 {
 		t.Errorf("snapshot event processing allocates %.2f per 256-event run, want 0", avg)
 	}
 }
 
-func BenchmarkProcessOneSnapshot(b *testing.B) {
+func BenchmarkReplayHopSnapshot(b *testing.B) {
 	r := newCyclicSnapshotRunner(b, 64, 4096)
-	r.stepEvents(4096)
+	r.stepSnapshot(4096)
 	b.ReportAllocs()
 	b.ResetTimer()
-	r.stepEvents(b.N)
+	r.stepSnapshot(b.N)
 }
 
 // newGreedyLiveRunner builds a live-mode runner on a bare ring (no
@@ -84,9 +84,7 @@ func newGreedyLiveRunner(tb testing.TB, nodes int) *runner {
 	cfg.Route = route.Options{MaxHops: nodes} // the walk is nodes/2 hops; don't cap it
 	msgs := []Message{{From: 0, Key: metric.Point(nodes / 2)}}
 	r := newRunner(g, msgs, Schedule{}, cfg, rng.New(1))
-	ropt := cfg.Route
-	ropt.TracePath = true
-	r.router = route.New(g, ropt)
+	r.startLive(1) // the eager plan's single shard
 	for i := range r.queues {
 		// Each ring node is visited once per tour; pre-size the queue
 		// slabs the first tour would otherwise allocate lazily.
@@ -95,15 +93,30 @@ func newGreedyLiveRunner(tb testing.TB, nodes int) *runner {
 	return r
 }
 
+// stepLive drives k arrivals through the live arrival path
+// (shard.process on the eager plan's single shard). When the walk
+// completes, the message is injected afresh — its walker cleared so
+// the first arrival creates a new one — so the loop never goes idle.
+func (r *runner) stepLive(k int) {
+	sh := r.shards.shards[0]
+	for i := 0; i < k; i++ {
+		if sh.h.Len() == 0 {
+			r.walkers[0] = nil
+			r.unlock(Injection{Msg: 0, Time: sh.makespan + 1})
+		}
+		sh.process(r, r.shards, sh.h.Pop())
+	}
+}
+
 // TestLiveHotPathAllocs pins the live forwarding path at zero
 // allocations per event with the (default) nil telemetry recorder —
 // the observability layer's disabled-is-free contract.
 func TestLiveHotPathAllocs(t *testing.T) {
 	r := newGreedyLiveRunner(t, 8192)
-	r.enqueue(Injection{Msg: 0, Time: 0})
+	r.unlock(Injection{Msg: 0, Time: 0})
 	// 15 calls x 256 events stay inside the 4096-hop walk: every
 	// measured event is a pure forwarding step.
-	if avg := testing.AllocsPerRun(14, func() { r.stepEvents(256) }); avg != 0 {
+	if avg := testing.AllocsPerRun(14, func() { r.stepLive(256) }); avg != 0 {
 		t.Errorf("live event processing allocates %.2f per 256-event run, want 0", avg)
 	}
 	if r.err != nil {
@@ -111,12 +124,12 @@ func TestLiveHotPathAllocs(t *testing.T) {
 	}
 }
 
-func BenchmarkProcessOneLive(b *testing.B) {
+func BenchmarkProcessLive(b *testing.B) {
 	r := newGreedyLiveRunner(b, 8192)
-	r.enqueue(Injection{Msg: 0, Time: 0})
+	r.unlock(Injection{Msg: 0, Time: 0})
 	b.ReportAllocs()
 	b.ResetTimer()
-	r.stepEvents(b.N) // re-injection restarts the tour when a walk delivers
+	r.stepLive(b.N) // re-injection restarts the tour when a walk delivers
 	b.StopTimer()
 	if r.err != nil {
 		b.Fatal(r.err)

@@ -19,7 +19,7 @@ import (
 //
 // Mechanics. The schedule's events, failure detections, gossip rounds,
 // and stranded-message resumptions live in a churn op queue ordered by
-// (time, push order), drained interleaved with the event heap; at equal
+// (time, push order), drained interleaved with the event heaps; at equal
 // instants churn ops run before message events, so a message arriving
 // at t sees the world as of t (the horizon-boundary tests pin this
 // tie rule). A crash takes effect between services: the service a node
@@ -50,18 +50,18 @@ import (
 // node.
 //
 // Sharding. Churn runs scale across cores: the schedule is fully
-// materialized before the run, so the sharded loop clips every safe-
+// materialized before the run, so the barrier plan clips every safe-
 // horizon window at the next churn-op instant, drains the shards in
 // parallel up to the clip, and applies membership mutations (crashes,
-// joins, link redraws, rumor rounds) sequentially at the barrier under
-// the same ops-before-messages tie rule — byte-identical to the
-// sequential reference at every shard count. Within a window the graph
-// is immutable; the only churn artifact a parallel drain produces is a
-// strand park, deferred as a doneRec and replayed at the barrier in
-// global event order so op sequence numbers match the sequential
-// loop's. The eligibility condition is ProbeTimeout ≥ 1/Capacity (a
-// resume must land at or beyond the window horizon); faster probes
-// fall back to the sequential loop (Config.Plan, PlanReasonChurn).
+// joins, link redraws, rumor rounds) sequentially between windows under
+// the same ops-before-messages tie rule the eager drain uses —
+// byte-identical to one shard at every shard count. Within a window
+// the graph is immutable; the only churn artifact a parallel drain
+// produces is a strand park, which settles at the barrier in global
+// event order so op sequence numbers match the eager plan's. The
+// eligibility condition is ProbeTimeout ≥ 1/Capacity (a resume must
+// land at or beyond the window horizon); faster probes run on one
+// shard (Config.Plan, PlanReasonChurn).
 //
 // Hot paths. Strand handling, gossip rounds, and link redraws run
 // allocation-free in steady state, pinned at 0 allocs/op by
@@ -402,7 +402,7 @@ func (c *churnState) round(r *runner, t float64) {
 			if !ok || q == p {
 				continue
 			}
-			r.serveAt(p, t)
+			r.serveAt(&r.seq, p, t)
 			sent++
 			for _, ri := range live {
 				c.teach(r, ri, q, t)
@@ -487,7 +487,7 @@ func (c *churnState) bootstrap(r *runner, p metric.Point, t float64) {
 			return
 		}
 		consulted++
-		r.serveAt(q, t)
+		r.serveAt(&r.seq, q, t)
 		r.out.GossipSends++
 		if r.tel != nil {
 			r.tel.Gossip(t, 1)
@@ -554,17 +554,12 @@ func (c *churnState) drawLink(r *runner, p metric.Point) (metric.Point, bool) {
 // Stranding: in-flight messages at a dying node.
 // ---------------------------------------------------------------------
 
-// pushEvent routes a churn-path event to the live loop: the single
-// sequential heap, or — from barrier-time op application in sharded
-// mode — the owning shard's heap. Always called from sequential code;
-// the destination is the message's current node, which every caller
-// sets before pushing.
+// pushEvent routes a churn-path event to the live loop: the owning
+// shard's heap. Always called from sequential code (the eager drain, or
+// barrier-time op application); the destination is the message's
+// current node, which every caller sets before pushing.
 func (r *runner) pushEvent(e event) {
-	if r.sharded != nil {
-		r.sharded.owner(r.pos[e.msg]).h.Push(e)
-		return
-	}
-	r.h.Push(e)
+	r.shards.owner(r.pos[e.msg]).h.Push(e)
 }
 
 // strand parks a message whose arrival found its node dead: no service
@@ -594,7 +589,7 @@ func (r *runner) resumeStranded(m, idx int, t float64) {
 		r.pushEvent(event{time: t, msg: m, idx: idx})
 		return
 	}
-	if r.answering != nil && r.answering[m] {
+	if r.cfg.Mode.PIT() && r.answering[m] {
 		for r.ansAt[m] >= 0 && !r.g.Alive(r.ansPath[m][r.ansAt[m]]) {
 			r.ansAt[m]--
 		}
@@ -619,10 +614,9 @@ func (r *runner) resumeStranded(m, idx int, t float64) {
 // candidates as always.
 func (r *runner) stepWithoutService(m, idx int, t float64) {
 	w := r.walkers[m]
-	r.now = t
-	stepped := w.Step()
-	if r.tel != nil {
-		r.tel.Hop(m, r.pos[m], t, t, t, 0, telemetry.DecisionReroute)
+	stepped := r.step(w, t)
+	if r.seq.view != nil {
+		r.seq.view.Hop(m, r.pos[m], t, t, t, 0, telemetry.DecisionReroute)
 	}
 	if stepped {
 		r.out.StrandResumed++
@@ -637,7 +631,7 @@ func (r *runner) stepWithoutService(m, idx int, t float64) {
 		return
 	}
 	r.out.StrandResumed++
-	if r.pit != nil {
+	if r.cfg.Mode.PIT() {
 		// Delivered from the strand: the answer leg spawns as usual, its
 		// generation service at the target.
 		r.spawnAnswer(m, t, res)

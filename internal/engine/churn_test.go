@@ -422,3 +422,31 @@ func TestChurnExtinctNetwork(t *testing.T) {
 		t.Fatalf("err = %v, want the extinct-network error", err)
 	}
 }
+
+// TestChurnStaggeredCrashRumorConverges pins rumor resolution when a
+// crash is born while an earlier crash's gossip rounds are still
+// running: the second rumor must converge after its own detection, not
+// be abandoned by a round that fires between its birth and detection
+// (when it has no knowers yet by construction).
+func TestChurnStaggeredCrashRumorConverges(t *testing.T) {
+	g := testGraph(t, 64, 8, 31, 0)
+	cfg := baseConfig()
+	cfg.Mode = ModeLive
+	cfg.Churn = churnKnobs(
+		failure.ChurnEvent{Time: 0, Kind: failure.ChurnCrash, Node: metric.Point(10)},
+		failure.ChurnEvent{Time: 3.5, Kind: failure.ChurnCrash, Node: metric.Point(40)},
+	)
+	out, err := Run(g, []Message{{From: 0, Key: 32}},
+		Schedule{Initial: []Injection{{Msg: 0, Time: 0}}}, cfg, rng.New(11))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.RumorsAbandoned != 0 {
+		t.Errorf("second rumor abandoned before detection: converged=%d abandoned=%d",
+			out.RumorsConverged, out.RumorsAbandoned)
+	}
+	if got, want := out.RumorsConverged+out.RumorsAbandoned, out.Crashes+out.Joins; got != want {
+		t.Errorf("rumor ledger broke: %d converged + %d abandoned != %d crashes + %d joins",
+			out.RumorsConverged, out.RumorsAbandoned, out.Crashes, out.Joins)
+	}
+}

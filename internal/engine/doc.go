@@ -33,7 +33,7 @@
 //	                                  latency, cache Observe,
 //	                                  closed-loop injection
 //
-// # Snapshot mode (Config.Live = false)
+// # Snapshot mode (ModeSnapshot)
 //
 // Messages route in batches of Config.BatchSize against a congestion
 // signal frozen at the batch boundary, exactly as the pre-engine
@@ -49,7 +49,7 @@
 // known at the boundary, still replay the prefix in a scratch loop to
 // keep the historical estimate bit-exact.)
 //
-// # Live mode (Config.Live = true)
+// # Live mode (ModeLive, ModeLiveAggregate, ModeLivePIT)
 //
 // Every forwarding decision happens at the service that forwards the
 // message, through the resumable route.Walker: the congestion penalty
@@ -60,7 +60,7 @@
 // each node forwards on what it can observe locally at forwarding time
 // — extended to congestion state.
 //
-// With Config.Aggregate on, same-key lookups that meet in a node's
+// Under ModeLiveAggregate, same-key lookups that meet in a node's
 // queue coalesce: a lookup arriving while another lookup for the same
 // key is queued or in service there rides along — it occupies no
 // queue anywhere downstream and completes the instant its carrier
@@ -68,14 +68,14 @@
 // service load on the victim's in-neighbourhood, which is what moves
 // the flood knee past what replication alone buys.
 //
-// The Mode enum names the four mode combinations (ModeSnapshot,
-// ModeLive, ModeLiveAggregate, ModeLivePIT); Config.Mode() resolves
-// the boolean knobs to one, and Config.Plan reports — ahead of Run —
-// which loop a configuration will take and the pinned reason string.
+// The Mode enum names the four modes (ModeSnapshot, ModeLive,
+// ModeLiveAggregate, ModeLivePIT), and Config.Plan reports — ahead of
+// Run — which plan a configuration will take and the pinned reason
+// string.
 //
-// # Response path (Config.PIT)
+// # Response path (ModeLivePIT)
 //
-// With Config.PIT on (live mode's third variant), a delivered lookup
+// Under ModeLivePIT (live mode's third variant), a delivered lookup
 // is not the end of the story: the answer travels back. Every request
 // service plants a pending interest for the message's key at the
 // serving node, and the lifecycle of a lookup becomes:
@@ -107,15 +107,29 @@
 // per queue as aggregation does — at the price of charging every
 // delivery its answer's return trip.
 //
-// # Sharded live mode (Config.Shards > 1)
+// # One live loop, two settlements (Config.Shards)
 //
-// The live loop partitions across cores as a conservative
-// parallel discrete-event simulation: nodes split into Shards
-// contiguous regions of the metric space (shardOf), each shard owns a
-// private event heap, and shards advance together through virtual-time
-// windows bounded by the safe horizon W + 1/Capacity — the service
-// time is the lookahead, since any event at t ≥ W spawns its successor
-// no earlier than t + 1/Capacity:
+// Every live plan runs the same loop: shards own contiguous regions of
+// the metric space (shardOf), each with a private event heap, and one
+// function handles every live arrival (shard.process, with its PIT
+// branch). Side effects whose order is globally visible — completions,
+// latencies, aggregation merges, closed-loop unlocks, churn strand
+// parks, PIT waiter completions — go through one settle step. What
+// differs between the plans is only when settlement happens.
+//
+// PlanLiveSequential runs one shard with eager settlement: it owns
+// every node, pops events in (time, msg, idx) order, and applies each
+// side effect the moment it is produced. A message's walker is created
+// when its first arrival pops, so congestion penalties, depth probes,
+// cache churn, and closed-loop aggregation — the configurations that
+// read global state — see the world as of that instant.
+//
+// PlanLiveSharded runs several shards with barrier settlement, a
+// conservative parallel discrete-event simulation (an α-synchronizer;
+// one eager shard is its degenerate case). Shards advance together
+// through virtual-time windows bounded by the safe horizon
+// W + 1/Capacity — the service time is the lookahead, since any event
+// at t ≥ W spawns its successor no earlier than t + 1/Capacity:
 //
 //	        W = min over shards (and pending injections)
 //	                       │
@@ -130,23 +144,22 @@
 //	│ horizon   │   │ horizon   │   │ horizon   │    queues only)
 //	└─────┬─────┘   └─────┬─────┘   └─────┬─────┘
 //	      │   outboxes: cross-shard hops  │
-//	      │   done-records: completions   │
+//	      │   done-records: side effects  │
 //	      └───────────────┬───────────────┘
 //	                       ▼
-//	  barrier: merge outboxes and replay completions
-//	           in (time, msg, idx) order; fold tallies
+//	  barrier: merge outboxes and apply side effects
+//	           in (time, msg, idx) order
 //	                       │
 //	                       ▼  next window
 //
 // Cross-shard forwards buffer in per-destination outboxes and are
-// pushed at the barrier; completions, latencies, and aggregation
-// settlements are recorded during the parallel drain and replayed
-// sequentially in the global event order, so every observable byte —
-// loads, latencies in completion order, aggregation bookkeeping, error
-// choice — matches the sequential loop exactly. Configurations whose
-// forwarding decisions read global mutable signals (congestion
-// penalties, depth probes, cache churn, closed-loop aggregation) fall
-// back to the sequential loop; see Config.Shards.
+// pushed at the barrier; side effects are recorded during the parallel
+// drain and applied at the barrier in the global event order, through
+// the same apply function the eager plan calls, so every observable
+// byte — loads, latencies in completion order, aggregation
+// bookkeeping, error choice — matches one shard exactly.
+// Configurations whose forwarding decisions read global mutable
+// signals run on one shard; see Config.Shards.
 //
 // Churn rides the same window machinery by becoming part of the
 // barrier: the churn schedule is materialized before the run, so each
@@ -169,16 +182,16 @@
 //	      │  as strand records            │
 //	      └───────────────┬───────────────┘
 //	                       ▼
-//	  barrier: replay completions and strand parks in
+//	  barrier: apply completions and strand parks in
 //	           (time, msg, idx) order — op seq numbers
-//	           assigned exactly as the sequential loop's
+//	           assigned exactly as the eager plan's
 //	                       │
 //	                       ▼  next window
 //
 // Gossip sends and rumor-round events route to the owning shard's
 // heap, and a strand's probe-timeout resume lands at or beyond the
 // horizon because eligibility requires ProbeTimeout ≥ 1/Capacity
-// (Config.Plan; faster probes fall back with PlanReasonChurn).
+// (Config.Plan; faster probes run on one shard, PlanReasonChurn).
 //
 // # Node dynamics (Config.Churn)
 //
@@ -187,7 +200,7 @@
 // schedule whose events share the virtual clock with the traffic. The
 // churn op queue — schedule events, probe-timeout detections, gossip
 // rounds, stranded-message resumptions — drains interleaved with the
-// event heap, churn ops first at equal instants, so a message arriving
+// event heaps, churn ops first at equal instants, so a message arriving
 // at t sees the world as of t. A crash is die-after-commit: the
 // service the node already committed to completes, every later arrival
 // strands, waits one ProbeTimeout, and re-forwards from the dead node.
@@ -207,17 +220,18 @@
 // Determinism: both modes are pure functions of (graph, messages,
 // schedule, config, root source). Snapshot mode parallelizes path
 // computation but keys every message to its own derived rng stream;
-// the live loop runs sequentially at Shards = 1 and partitioned as
-// above at higher counts. Either way, results are byte-identical for
-// every Config.Workers and Config.Shards value.
+// the live loop settles eagerly on one shard and at barriers on
+// several. Either way, results are byte-identical for every
+// Config.Workers and Config.Shards value.
 //
 // Observability: a telemetry.Recorder (Config.Telemetry) hooks the
 // loops at their sequential choke points — injection admission,
 // completion/merge bookkeeping, and cache-churn polling all run from
-// sequential code in every mode — plus the per-event service and hop
-// records, which the sharded loop routes through per-shard
-// telemetry.View values (one writer each, folded at EndRun) and the
-// barrier profiles with wall-clock drain/wait splits. The recorder
+// sequential code in every mode — plus the per-event service, hop, and
+// PIT records, which every shard writes to its own telemetry.View (the
+// eager shard and the sequential code share view 0; each view has one
+// writer at a time and folds at EndRun), and the barrier profiles with
+// wall-clock drain/wait splits. The recorder
 // never feeds back into routing, consumes no simulation randomness,
 // and keys its window timeseries to virtual time, so outcomes and the
 // virtual-time telemetry stream are byte-identical at every shard

@@ -38,23 +38,27 @@ type Config struct {
 	// Shards. Must be at least 1 (the caller owns defaulting), and
 	// results are byte-identical for every value in every mode.
 	Workers int
-	// Shards partitions live mode's event loop across cores: the node
-	// set splits into Shards contiguous regions of the space's point
-	// order, each with its own event heap, advancing in lockstep
-	// virtual-time windows of length 1/Capacity — the safe horizon
-	// under which no event can affect another shard's same-window
-	// decisions (see shard.go). Results are byte-identical for every
-	// value; 1 is the sequential reference mode. Sharding applies only
-	// to live configurations whose forwarding decisions are
+	// Shards partitions live mode's event loop across cores. The live
+	// loop is one loop — per-shard event heaps over contiguous regions
+	// of the space's point order — run under one of two settlements
+	// (see shard.go). One shard settles eagerly: it owns every node, and
+	// each completion, merge, or strand applies the moment its event is
+	// processed. Several shards settle at barriers: they advance in
+	// lockstep virtual-time windows of length 1/Capacity — the safe
+	// horizon under which no event can affect another shard's
+	// same-window decisions — and their side effects replay in global
+	// event order at each window's end. Results are byte-identical for
+	// every value; 1 is the sequential reference. Several shards apply
+	// only to live configurations whose forwarding decisions are
 	// message-local: congestion feedback (Penalty, DepthPenalty, or a
 	// caller-supplied Route.Congestion) and cache-on-path placements
 	// read global live state at every hop, and closed-loop schedules
 	// under ModeLiveAggregate can unlock past-time injections, so those
-	// runs use the sequential loop whatever Shards says. The resolution
-	// is not silent: Config.Plan reports the loop a run will use and
-	// the pinned reason, and every Outcome carries the pair. Snapshot
-	// mode ignores Shards. Must be at least 1, and at most the node
-	// count in live mode.
+	// runs use one shard whatever Shards says. The resolution is not
+	// silent: Config.Plan reports the plan a run will use and the pinned
+	// reason, and every Outcome carries the pair. Snapshot mode ignores
+	// Shards. Must be at least 1, and at most the node count in live
+	// mode.
 	Shards int
 	// Route configures the routing layer. TracePath is forced on; the
 	// congestion feedback owns Congestion/CongestionWeight whenever
@@ -93,8 +97,8 @@ type Config struct {
 	// runs shard: membership mutations apply only at window barriers,
 	// with each window clipped at the next churn-op instant — provided
 	// ProbeTimeout is at least the service time 1/Capacity, so strand
-	// resumptions land beyond the window horizon; faster probes fall
-	// back to the sequential loop (Config.Plan, PlanReasonChurn).
+	// resumptions land beyond the window horizon; faster probes run on
+	// one shard (Config.Plan, PlanReasonChurn).
 	Churn ChurnConfig
 	// Placement, when non-nil, replicates every key: messages route to
 	// the nearest live member of Placement.Targets(key). Cache-on-path
@@ -181,9 +185,11 @@ type Outcome struct {
 	// (live aggregation only).
 	Aggregated int
 	// Suppressed counts PIT suppressions: request arrivals that parked
-	// as waiters on a pending same-key interest instead of forwarding
-	// (a lookup that times out and re-forwards can be suppressed again,
-	// so this counts events, not messages). ModeLivePIT only.
+	// as waiters on a pending same-key interest instead of forwarding.
+	// A lookup whose wait expired is never suppressed again, so each
+	// lookup is suppressed at most once, and every suppression ends
+	// exactly once: Suppressed == MulticastFanout + PITExpired.
+	// ModeLivePIT only.
 	Suppressed int
 	// MulticastFanout counts waiters released by returning answers —
 	// the total fan-out of every PIT multicast. ModeLivePIT only.
@@ -228,8 +234,9 @@ type Outcome struct {
 // reproduces the pre-engine route-then-replay pipeline byte-for-byte
 // and is independent of cfg.Workers; a live run is deterministic in
 // (g, msgs, sched, cfg, root) and independent of cfg.Shards: the
-// sharded loop replays every globally-ordered side effect in the
-// sequential loop's exact (time, msg, idx) event order (see shard.go).
+// barrier replays every globally ordered side effect in the exact
+// (time, msg, idx) event order the one-shard plan applies them in (see
+// shard.go).
 func Run(g *graph.Graph, msgs []Message, sched Schedule, cfg Config, root *rng.Source) (*Outcome, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -243,18 +250,22 @@ func Run(g *graph.Graph, msgs []Message, sched Schedule, cfg Config, root *rng.S
 	var started time.Time
 	if r.tel != nil {
 		r.tel.BeginRun(cfg.Capacity, len(msgs))
+		r.seq.view = r.tel.View(0)
 		started = time.Now()
 	}
-	switch plan {
-	case PlanLiveSharded:
-		r.runSharded()
-	case PlanLiveSequential:
-		r.runLive()
-	default:
+	if plan == PlanSnapshot {
 		r.runSnapshot()
+	} else {
+		r.runLive(plan)
 	}
 	if r.err != nil {
 		return nil, r.err
+	}
+	r.fold(&r.seq)
+	if r.shards != nil {
+		for _, sh := range r.shards.shards {
+			r.fold(&sh.tally)
+		}
 	}
 	if r.tel != nil {
 		r.tel.EndRun(time.Since(started).Seconds(), r.out.Services)

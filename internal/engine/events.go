@@ -85,6 +85,24 @@ func (q *nodeQueue) depthAt(t float64) int {
 	return len(q.finish) - q.head
 }
 
+// serve queues one arrival at time t behind the server's backlog and
+// serves it for serviceTime ticks, returning when its service starts
+// and finishes and the depth it saw on arrival (itself included). It is
+// the engine's one copy of the FIFO arithmetic: the live loop, snapshot
+// replay, churn gossip charging and the scratch replay all serve
+// through it.
+func (q *nodeQueue) serve(t, serviceTime float64) (start, finish float64, depth int) {
+	depth = q.depthAt(t) + 1
+	start = t
+	if q.busyUntil > start {
+		start = q.busyUntil
+	}
+	finish = start + serviceTime
+	q.busyUntil = finish
+	q.finish = append(q.finish, finish)
+	return start, finish, depth
+}
+
 // replayMsg is one pre-routed message entering a scratch replay: an
 // injection time (assigned by the schedule during the replay), the
 // node sequence its search serviced, and whether it delivered.
@@ -165,17 +183,10 @@ func replay(size int, msgs []replayMsg, serviceTime float64,
 		a := h.Pop()
 		msg := &msgs[a.msg]
 		node := msg.path[a.idx]
-		q := &queues[node]
-		if depth := q.depthAt(a.time) + 1; depth > out.maxQueueDepth {
+		_, finish, depth := queues[node].serve(a.time, serviceTime)
+		if depth > out.maxQueueDepth {
 			out.maxQueueDepth = depth
 		}
-		start := a.time
-		if q.busyUntil > start {
-			start = q.busyUntil
-		}
-		finish := start + serviceTime
-		q.busyUntil = finish
-		q.finish = append(q.finish, finish)
 		out.loads[node]++
 		out.services++
 		if finish > out.makespan {

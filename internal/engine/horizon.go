@@ -1,19 +1,16 @@
 package engine
 
-import (
-	"repro/internal/mathx"
-	"repro/internal/route"
-)
+import "repro/internal/mathx"
 
-// This file is the sequential half of the sharded live loop (shard.go
-// has the model overview and the parallel half): the window
-// coordinator and the admission pass that turns pending injections
-// into walkers and first-arrival events. The eligibility gate is
-// Config.Plan (mode.go): Run dispatches here only when the plan
-// resolved to PlanLiveSharded.
+// This file is the barrier settlement of the live loop (shard.go has
+// the model overview and the arrival path): the window coordinator and
+// the admission pass that turns pending injections into walkers and
+// first-arrival events. The eligibility gate is Config.Plan (mode.go):
+// the loop runs in windows only when the plan resolved to
+// PlanLiveSharded; otherwise one shard settles eagerly.
 
 // injectionLess orders pending injections by (time, msg) — the order
-// the sequential loop pops their idx-0 events in, since no message is
+// the eager plan pops their idx-0 events in, since no message is
 // injected twice.
 func injectionLess(a, b Injection) bool {
 	if a.Time != b.Time {
@@ -34,7 +31,7 @@ func injectionLess(a, b Injection) bool {
 // With churn attached the membership layer becomes a window barrier:
 // churn ops due at or before the window start apply here, sequentially,
 // before any admission or drain (ops win ties, so an event at w sees
-// the world as of w — the same tie rule the sequential drain pins), and
+// the world as of w — the same tie rule the eager drain pins), and
 // the horizon is clipped at the next pending op instant, so the graph
 // and membership state are immutable while the shards drain. The one
 // op kind born during a drain — a strand's probe-timeout resumption —
@@ -43,16 +40,11 @@ func injectionLess(a, b Injection) bool {
 // gate (Config.Plan requires ProbeTimeout ≥ the lookahead), so it
 // never belongs to the window that created it.
 func (r *runner) runSharded() {
-	cfg := r.cfg
-	ropt := cfg.Route
-	ropt.TracePath = true
-	r.router = route.New(r.g, ropt)
 	r.pend = mathx.NewHeap(injectionLess, len(r.sched.Initial))
 	for _, inj := range r.sched.Initial {
 		r.pend.Push(inj)
 	}
-	s := newShardSet(r)
-	r.sharded = s
+	s := r.shards
 	for r.err == nil {
 		w, ok := s.nextTime(r)
 		if !ok {
@@ -87,16 +79,15 @@ func (r *runner) runSharded() {
 }
 
 // admitWindow processes pending injections below the horizon in
-// (time, msg) order: the walker is created here — sequentially, so
-// placement lookups and the per-message rng streams behave exactly as
-// in the sequential loop — and the first-arrival event goes to the
-// origin's shard. Born-delivered lookups complete on the spot; their
-// closed-loop successors can land back under the horizon (a think
-// time of zero re-injects at the same instant), so the loop keeps
+// (time, msg) order through the admission body the eager plan runs at
+// the first arrival's pop (admitLive), then sends the first-arrival
+// event to the origin's shard. Born-delivered lookups complete on the
+// spot; their closed-loop successors can land back under the horizon (a
+// think time of zero re-injects at the same instant), so the loop keeps
 // consuming the pending heap until it clears the window.
 //
 // Creating walkers at admission rather than at the event pop is the
-// one scheduling difference from the sequential loop, and it is
+// one scheduling difference from the eager plan, and it is
 // unobservable: for a shardable configuration walker creation is a
 // pure function of the graph, the placement, and the message (no
 // congestion signal, no cache churn), consumes no rng, and touches no
@@ -104,52 +95,15 @@ func (r *runner) runSharded() {
 // mutates between windows — every churn op at or below the window
 // start has applied before admission, and none is pending below the
 // horizon — so the graph an admitted walker reads is exactly the graph
-// the sequential loop's pop would have read.
+// the eager plan's pop would have read.
 func (r *runner) admitWindow(s *shardSet, horizon float64) {
 	for r.pend.Len() > 0 && r.pend.Peek().Time < horizon {
 		inj := r.pend.Pop()
-		msg := inj.Msg
-		r.inject[msg] = inj.Time
-		r.out.Injected++
-		if inj.Time > r.out.LastInject {
-			r.out.LastInject = inj.Time
-		}
-		if r.tel != nil {
-			r.tel.Inject(msg, inj.Time, r.msgs[msg].From, r.msgs[msg].Key)
-		}
-		r.injected++
-		from := r.msgs[msg].From
-		if r.churn != nil && !r.g.Alive(from) {
-			// The source died before this lookup was injected: the client
-			// behind the dead portal enters at the nearest alive node.
-			// Membership is frozen for the whole window, so resolving this
-			// at admission matches the sequential loop's pop-time answer.
-			p, ok := r.reattachOrigin(from)
-			if !ok {
-				r.err = errExtinct
-				return
-			}
-			from = p
-		}
-		w, err := r.router.Walker(r.root.Derive(16+uint64(msg)), from, r.targetsFor(msg))
-		if err != nil {
-			if r.churn != nil {
-				// Born unroutable — every replica of its key dead at this
-				// instant. A failed search, not a configuration error.
-				r.bornFailed(msg, inj.Time)
-				continue
-			}
-			r.err = err
+		r.injectAt(inj.Msg, inj.Time)
+		if r.admitLive(inj.Msg, inj.Time) {
+			s.owner(r.pos[inj.Msg]).h.Push(event{time: inj.Time, msg: inj.Msg, idx: 0})
+		} else if r.err != nil {
 			return
 		}
-		r.walkers[msg] = w
-		if w.Done() {
-			// Born delivered: completes at its injection instant without
-			// entering a queue; the successor it unlocks joins r.pend.
-			r.completeBorn(msg, inj.Time)
-			continue
-		}
-		r.pos[msg] = w.At()
-		s.owner(w.At()).h.Push(event{time: inj.Time, msg: msg, idx: 0})
 	}
 }

@@ -7,9 +7,9 @@ import (
 )
 
 // This file is ModeLivePIT: per-node pending-interest tables and the
-// answer leg, in both the sequential loop (runner methods) and the
-// sharded loop (shard methods — structural twins, with globally-ordered
-// side effects deferred to the barrier like the rest of shard.go).
+// answer leg, as the PIT branch of the live arrival path (shard.go).
+// Globally ordered side effects go through settle like the rest of the
+// loop, so both plans run this code.
 //
 // The request leg works like plain live mode — one FIFO service per
 // hop, the walker deciding the next hop at each service — with two
@@ -44,10 +44,10 @@ import (
 // suppression ordinal — negative so they collide with nothing, unique
 // so a stale timeout (its wait already ended by answer or by an
 // earlier expiry) is detected by comparing against the pitWait
-// registry and dropped. In the sharded loop pitWait is shard-local:
-// a waiter parks at one node, so its suppression, release, and
-// timeout all pop at that node's shard, and a stale timeout touches
-// nothing but that shard's own map.
+// registry and dropped. pitWait is shard-local: a waiter parks at one
+// node, so its suppression, release, and timeout all pop at that
+// node's shard, and a stale timeout touches nothing but that shard's
+// own map.
 //
 // Shard eligibility. PIT runs stay shardable even under closed-loop
 // schedules (unlike aggregation, see Config.Plan): every completion —
@@ -72,141 +72,22 @@ type pitEntry struct {
 	owner int
 }
 
-// ---------------------------------------------------------------------
-// Sequential loop.
-// ---------------------------------------------------------------------
-
-// processPIT is the PIT-mode arrival dispatcher, the ModeLivePIT twin
-// of processOne's live path.
-func (r *runner) processPIT(a event) {
-	m := a.msg
-	if a.idx < 0 {
-		// Timeout candidate: valid only if it is the waiter's current
-		// timeout — a release or an earlier expiry consumed stale ones.
-		if c, ok := r.pitWait[m]; !ok || c != -a.idx {
-			return
-		}
-		delete(r.pitWait, m)
-		r.expiredOnce[m] = true
-		r.out.PITExpired++
-		if r.tel != nil {
-			r.tel.PITExpire(a.time)
-		}
-		if r.churn != nil && !r.g.Alive(r.pos[m]) {
-			// The wait node died under the waiter: no service can happen
-			// here, so the re-forward goes through the strand discipline —
-			// one more probe window, then a serviceless step out.
-			r.strand(m, r.waitIdx[m], a.time)
-			return
-		}
-		// The wait is over: re-forward from the wait node, skipping the
-		// suppression check — the entry here demonstrably failed to
-		// produce an answer within an interest lifetime.
-		r.servePIT(a.time, r.waitIdx[m], m)
-		return
-	}
-	if a.idx == 0 && !r.admitLive(a) {
-		return
-	}
-	if r.churn != nil && !r.g.Alive(r.pos[m]) {
-		// Request or answer, the arrival found its node dead: strand.
-		// An interest pending here will never multicast — its waiters
-		// expire on their own timeouts, the waiters-must-expire rule.
-		r.strand(m, a.idx, a.time)
-		return
-	}
-	if r.answering[m] {
-		r.serveAnswer(a)
-		return
-	}
-	node := r.pos[m]
-	if e, ok := r.pit[aggKey{node: node, key: r.msgs[m].Key}]; ok &&
-		e.owner != m && !r.expiredOnce[m] && a.time < e.expiry && len(e.waiters) < r.cfg.PITWaiters {
-		// A same-key interest is pending here: park instead of
-		// forwarding, with a timeout in case the answer never comes.
-		r.waits[m]++
-		r.pitWait[m] = r.waits[m]
-		r.waitIdx[m] = a.idx
-		e.waiters = append(e.waiters, m)
-		r.out.Suppressed++
-		if r.tel != nil {
-			r.tel.Suppress(a.time)
-		}
-		r.h.Push(event{time: a.time + r.cfg.PITTimeout, msg: m, idx: -r.waits[m]})
-		return
-	}
-	r.servePIT(a.time, a.idx, m)
-}
-
-// serveAt runs one FIFO service at node for an arrival at time `at`,
-// accounting it to the outcome and the congestion counters.
-func (r *runner) serveAt(node metric.Point, at float64) (start, finish float64, depth int) {
-	q := &r.queues[node]
-	depth = q.depthAt(at) + 1
-	if depth > r.out.MaxQueueDepth {
-		r.out.MaxQueueDepth = depth
-	}
-	start = at
-	if q.busyUntil > start {
-		start = q.busyUntil
-	}
-	finish = start + r.serviceTime
-	q.busyUntil = finish
-	q.finish = append(q.finish, finish)
-	r.out.Loads[node]++
-	r.out.Services++
-	if r.tel != nil {
-		r.tel.Service(at, depth)
-	}
-	if finish > r.out.Makespan {
-		r.out.Makespan = finish
-	}
-	r.charged[node]++
-	r.totalCharged++
-	return start, finish, depth
-}
-
-// servePIT services message m's request arrival (popped with event
-// index `idx`) at its current node: plant or refresh the interest,
-// step the walker, and either forward, fail, or flip onto the answer
-// leg.
-func (r *runner) servePIT(at float64, idx, m int) {
-	node := r.pos[m]
-	start, finish, depth := r.serveAt(node, at)
-	pk := aggKey{node: node, key: r.msgs[m].Key}
-	e := r.pit[pk]
-	if e == nil {
-		e = &pitEntry{}
-		r.pit[pk] = e
-	} else if len(e.waiters) > 0 {
-		e.waiters = r.liveWaiters(r.pitWait, node, e.waiters)
-	}
-	e.expiry = finish + r.cfg.PITTimeout
-	e.owner = m
-	w := r.walkers[m]
-	r.now = at
-	stepped := w.Step()
-	if r.tel != nil {
-		r.tel.Hop(m, node, at, start, finish, depth, hopDecision(w))
-	}
-	if stepped {
-		r.pos[m] = w.At()
-		r.h.Push(event{time: finish, msg: m, idx: idx + 1})
-		return
-	}
-	res := w.Result()
-	if !res.Delivered {
-		r.completeLive(m, finish, res)
-		return
-	}
-	r.spawnAnswer(m, finish, res)
-	r.h.Push(event{time: finish, msg: m, idx: idx + 1})
+// answerResult is a completing lookup's final Result: its own walk so
+// far, marked delivered at the answering target. For a released waiter
+// that is a partial path ending at the release point — the same
+// carrier-answered shape aggregation reports for coalesced lookups.
+func (r *runner) answerResult(m int) route.Result {
+	res := r.walkers[m].Result()
+	res.Delivered = true
+	res.Target = r.ansTarget[m]
+	return res
 }
 
 // spawnAnswer flips a delivered lookup onto its answer leg: the
 // reverse of the full visited path, starting with a generation service
 // at the delivery target itself. Delivery, not answer receipt, is the
-// popularity signal, so cache-on-path observes here.
+// popularity signal, so cache-on-path observes here (caching runs are
+// single-shard by plan, so the placement is never shared by drains).
 func (r *runner) spawnAnswer(m int, finish float64, res route.Result) {
 	if r.caching {
 		r.cfg.Placement.Observe(r.msgs[m].Key, res.Path)
@@ -225,128 +106,44 @@ func (r *runner) spawnAnswer(m int, finish float64, res route.Result) {
 	r.ansTarget[m] = res.Target
 }
 
-// serveAnswer services one answer arrival: the answer passes through
-// this node, satisfying its pending interest (multicast), and moves
-// one hop down the reverse path — or, at index -1, has reached the
-// lookup's origin: receipt, the completion instant.
-func (r *runner) serveAnswer(a event) {
-	m := a.msg
-	node := r.pos[m]
-	start, finish, depth := r.serveAt(node, a.time)
-	if r.tel != nil {
-		r.tel.Hop(m, node, a.time, start, finish, depth, telemetry.DecisionAnswer)
-	}
-	r.multicast(node, r.msgs[m].Key, r.ansTarget[m], finish)
-	r.ansAt[m]--
-	if r.ansAt[m] >= 0 {
-		r.pos[m] = r.ansPath[m][r.ansAt[m]]
-		r.h.Push(event{time: finish, msg: m, idx: a.idx + 1})
-		return
-	}
-	r.completeLive(m, finish, r.answerResult(m))
-}
-
-// multicast releases every still-valid waiter on this node's pending
-// interest for key: each forks its own answer leg from the release
-// point back down its partial path. A waiter suppressed at its own
-// origin has no leg to retrace — this service is its receipt.
-func (r *runner) multicast(node, key, target metric.Point, finish float64) {
-	pk := aggKey{node: node, key: key}
-	e, ok := r.pit[pk]
-	if !ok {
-		return
-	}
-	delete(r.pit, pk)
-	fan := 0
-	for _, w := range e.waiters {
-		if _, waiting := r.pitWait[w]; !waiting || r.pos[w] != node {
-			continue // wait already ended, or re-parked elsewhere
-		}
-		delete(r.pitWait, w)
-		fan++
-		path := r.walkers[w].Visited()
-		r.answering[w] = true
-		r.ansPath[w] = path
-		r.ansAt[w] = len(path) - 2
-		r.ansTarget[w] = target
-		if r.ansAt[w] < 0 {
-			r.completeLive(w, finish, r.answerResult(w))
-			continue
-		}
-		r.pos[w] = path[r.ansAt[w]]
-		r.h.Push(event{time: finish, msg: w, idx: r.waitIdx[w] + 1})
-	}
-	if fan > 0 {
-		r.out.MulticastFanout += fan
-		if r.tel != nil {
-			r.tel.Multicast(finish, fan)
-		}
-	}
-}
-
-// answerResult is a completing lookup's final Result: its own walk so
-// far, marked delivered at the answering target. For a released waiter
-// that is a partial path ending at the release point — the same
-// carrier-answered shape aggregation reports for coalesced lookups.
-func (r *runner) answerResult(m int) route.Result {
-	res := r.walkers[m].Result()
-	res.Delivered = true
-	res.Target = r.ansTarget[m]
-	return res
-}
-
-// liveWaiters compacts a waiter list in place, keeping only lookups
-// still parked at this node. pitWait is passed in because the sharded
-// loop keys validity per shard.
-func (r *runner) liveWaiters(pitWait map[int]int, node metric.Point, ws []int) []int {
-	kept := ws[:0]
-	for _, w := range ws {
-		if _, ok := pitWait[w]; ok && r.pos[w] == node {
-			kept = append(kept, w)
-		}
-	}
-	return kept
-}
-
-// ---------------------------------------------------------------------
-// Sharded loop. Same discipline; message and node state is shard-owned
-// at every pop (a waiter parks at one node, so its whole wait lives on
-// one shard), and completions defer to the barrier as doneRecs. One
-// answer service can complete several messages — origin-parked waiters
-// plus possibly the answering lookup itself — so records carry a
-// within-pop ordinal to keep the barrier replay in the sequential
-// loop's exact side-effect order.
-// ---------------------------------------------------------------------
-
-// processPIT is the sharded twin of runner.processPIT. Admission
-// already created the walker (horizon.go), so there is no idx-0
-// branch.
+// processPIT handles one PIT-mode arrival: an interest timeout, an
+// answer-leg arrival, or a request arrival that either parks on a
+// pending same-key interest or is served.
 func (sh *shard) processPIT(r *runner, s *shardSet, a event) {
 	m := a.msg
 	if a.idx < 0 {
+		// Timeout candidate: valid only if it is the waiter's current
+		// timeout — a release or an earlier expiry consumed stale ones.
 		if c, ok := sh.pitWait[m]; !ok || c != -a.idx {
 			return
 		}
 		delete(sh.pitWait, m)
 		r.expiredOnce[m] = true
 		sh.expired++
-		if sh.telView != nil {
-			sh.telView.PITExpire(a.time)
+		if sh.view != nil {
+			sh.view.PITExpire(a.time)
 		}
 		if r.churn != nil && !r.g.Alive(r.pos[m]) {
 			// The wait node died under the waiter: no service can happen
-			// here, so the re-forward goes through the strand discipline,
-			// parked at the barrier (see shard.process).
-			sh.done = append(sh.done, doneRec{at: a, msg: m, strand: true, leader: r.waitIdx[m]})
+			// here, so the re-forward goes through the strand discipline —
+			// one more probe window, then a serviceless step out.
+			sh.settle(r, doneRec{at: a, msg: m, strand: true, leader: r.waitIdx[m]})
 			return
 		}
+		// The wait is over: re-forward from the wait node, skipping the
+		// suppression check — the entry here demonstrably failed to
+		// produce an answer within an interest lifetime.
 		sh.servePIT(r, s, a, r.waitIdx[m])
 		return
 	}
+	if a.idx == 0 && r.walkers[m] == nil && !r.admitLive(m, a.time) {
+		return
+	}
 	if r.churn != nil && !r.g.Alive(r.pos[m]) {
-		// Request or answer, the arrival found its node dead: strand,
-		// deferred to the barrier in global event order.
-		sh.done = append(sh.done, doneRec{at: a, msg: m, strand: true, leader: a.idx})
+		// Request or answer, the arrival found its node dead: strand.
+		// An interest pending here will never multicast — its waiters
+		// expire on their own timeouts, the waiters-must-expire rule.
+		sh.settle(r, doneRec{at: a, msg: m, strand: true, leader: a.idx})
 		return
 	}
 	if r.answering[m] {
@@ -356,84 +153,48 @@ func (sh *shard) processPIT(r *runner, s *shardSet, a event) {
 	node := r.pos[m]
 	if e, ok := sh.pit[aggKey{node: node, key: r.msgs[m].Key}]; ok &&
 		e.owner != m && !r.expiredOnce[m] && a.time < e.expiry && len(e.waiters) < r.cfg.PITWaiters {
+		// A same-key interest is pending here: park instead of
+		// forwarding, with a timeout in case the answer never comes.
 		r.waits[m]++
 		sh.pitWait[m] = r.waits[m]
 		r.waitIdx[m] = a.idx
 		e.waiters = append(e.waiters, m)
 		sh.suppressed++
-		if sh.telView != nil {
-			sh.telView.Suppress(a.time)
+		if sh.view != nil {
+			sh.view.Suppress(a.time)
 		}
 		// PITTimeout may be shorter than the lookahead, so the timeout
 		// can land inside the current window — safe, because it fires at
-		// the wait node: same shard, same heap, same pop order as the
-		// sequential loop.
+		// the wait node: same shard, same heap, same pop order.
 		sh.h.Push(event{time: a.time + r.cfg.PITTimeout, msg: m, idx: -r.waits[m]})
 		return
 	}
 	sh.servePIT(r, s, a, a.idx)
 }
 
-// serveAt is the sharded FIFO service: window-local counters, no
-// congestion charge (a shardable run has no congestion signal).
-func (sh *shard) serveAt(r *runner, node metric.Point, at float64) (start, finish float64, depth int) {
-	q := &r.queues[node]
-	depth = q.depthAt(at) + 1
-	if depth > sh.maxQueueDepth {
-		sh.maxQueueDepth = depth
-	}
-	start = at
-	if q.busyUntil > start {
-		start = q.busyUntil
-	}
-	finish = start + r.serviceTime
-	q.busyUntil = finish
-	q.finish = append(q.finish, finish)
-	r.out.Loads[node]++
-	sh.services++
-	if sh.telView != nil {
-		sh.telView.Service(at, depth)
-	}
-	if finish > sh.makespan {
-		sh.makespan = finish
-	}
-	return start, finish, depth
-}
-
-// push routes a successor event to its node's shard: own heap or
-// outbox. Cross-shard events always carry time ≥ the window horizon
-// (they are service finishes of events popped at or after the window
-// start), so merging them at the barrier preserves the lookahead.
-func (sh *shard) push(s *shardSet, node metric.Point, e event) {
-	if d := s.owner(node); d == sh {
-		sh.h.Push(e)
-	} else {
-		sh.outbox[d.id] = append(sh.outbox[d.id], e)
-	}
-}
-
-// servePIT is the sharded twin of runner.servePIT. a is the popped
-// event (the doneRec replay key); fwdIdx is the idx the forward chain
-// continues from — a.idx normally, the suppressed arrival's idx on a
-// timeout re-forward.
+// servePIT services message m's request arrival at its current node:
+// plant or refresh the interest, step the walker, and either forward,
+// fail, or flip onto the answer leg. a is the popped event (the
+// settle key); fwdIdx is the idx the forward chain continues from —
+// a.idx normally, the suppressed arrival's idx on a timeout re-forward.
 func (sh *shard) servePIT(r *runner, s *shardSet, a event, fwdIdx int) {
 	m := a.msg
 	node := r.pos[m]
-	start, finish, depth := sh.serveAt(r, node, a.time)
+	start, finish, depth := r.serveAt(&sh.tally, node, a.time)
 	pk := aggKey{node: node, key: r.msgs[m].Key}
 	e := sh.pit[pk]
 	if e == nil {
 		e = &pitEntry{}
 		sh.pit[pk] = e
 	} else if len(e.waiters) > 0 {
-		e.waiters = r.liveWaiters(sh.pitWait, node, e.waiters)
+		e.waiters = sh.liveWaiters(r, node, e.waiters)
 	}
 	e.expiry = finish + r.cfg.PITTimeout
 	e.owner = m
 	w := r.walkers[m]
-	stepped := w.Step()
-	if sh.telView != nil {
-		sh.telView.Hop(m, node, a.time, start, finish, depth, hopDecision(w))
+	stepped := r.step(w, a.time)
+	if sh.view != nil {
+		sh.view.Hop(m, node, a.time, start, finish, depth, hopDecision(w))
 	}
 	if stepped {
 		next := w.At()
@@ -443,33 +204,33 @@ func (sh *shard) servePIT(r *runner, s *shardSet, a event, fwdIdx int) {
 	}
 	res := w.Result()
 	if !res.Delivered {
-		sh.done = append(sh.done, doneRec{at: a, msg: m, finish: finish, res: res})
+		sh.settle(r, doneRec{at: a, msg: m, finish: finish, res: res})
 		return
 	}
-	// Delivered: flip onto the answer leg. No cache observation here —
-	// caching configurations never reach the sharded loop (Config.Plan).
-	// The generation service happens at the target, which may live on
-	// another shard; the event carries a service finish ≥ the window
-	// horizon, so the outbox hand-off is as safe as a forwarding hop.
-	r.answering[m] = true
-	r.ansPath[m] = res.Path
-	r.ansAt[m] = len(res.Path) - 1
-	target := res.Path[len(res.Path)-1]
-	r.pos[m] = target
-	r.ansTarget[m] = res.Target
-	sh.push(s, target, event{time: finish, msg: m, idx: fwdIdx + 1})
+	// Delivered: the generation service happens at the target, which
+	// may live on another shard; the event carries a service finish ≥
+	// the window horizon, so the outbox hand-off is as safe as a
+	// forwarding hop.
+	r.spawnAnswer(m, finish, res)
+	sh.push(s, r.pos[m], event{time: finish, msg: m, idx: fwdIdx + 1})
 }
 
-// serveAnswer is the sharded twin of runner.serveAnswer: multicast
-// releases write waiter state owned by this shard (waiters park at
-// this node), released legs hop away through push, and completions
-// defer with within-pop ordinals.
+// serveAnswer services one answer arrival: the answer passes through
+// this node, satisfying its pending interest — a multicast releasing
+// every still-valid waiter, each forking its own answer leg from the
+// release point back down its partial path (a waiter suppressed at its
+// own origin has no leg to retrace: this service is its receipt) — and
+// moves one hop down the reverse path, or, past the path's start, has
+// reached the lookup's origin: receipt, the completion instant. Waiters
+// park at this node, so the released state is this shard's. One service
+// can complete several lookups, so their records carry a within-pop
+// ordinal (doneRec.seq) that keeps the barrier replay in this order.
 func (sh *shard) serveAnswer(r *runner, s *shardSet, a event) {
 	m := a.msg
 	node := r.pos[m]
-	start, finish, depth := sh.serveAt(r, node, a.time)
-	if sh.telView != nil {
-		sh.telView.Hop(m, node, a.time, start, finish, depth, telemetry.DecisionAnswer)
+	start, finish, depth := r.serveAt(&sh.tally, node, a.time)
+	if sh.view != nil {
+		sh.view.Hop(m, node, a.time, start, finish, depth, telemetry.DecisionAnswer)
 	}
 	seq := 0
 	pk := aggKey{node: node, key: r.msgs[m].Key}
@@ -478,7 +239,7 @@ func (sh *shard) serveAnswer(r *runner, s *shardSet, a event) {
 		fan := 0
 		for _, w := range e.waiters {
 			if _, waiting := sh.pitWait[w]; !waiting || r.pos[w] != node {
-				continue
+				continue // wait already ended, or re-parked elsewhere
 			}
 			delete(sh.pitWait, w)
 			fan++
@@ -488,7 +249,7 @@ func (sh *shard) serveAnswer(r *runner, s *shardSet, a event) {
 			r.ansAt[w] = len(path) - 2
 			r.ansTarget[w] = r.ansTarget[m]
 			if r.ansAt[w] < 0 {
-				sh.done = append(sh.done, doneRec{at: a, seq: seq, msg: w, finish: finish, res: r.answerResult(w)})
+				sh.settle(r, doneRec{at: a, seq: seq, msg: w, finish: finish, res: r.answerResult(w)})
 				seq++
 				continue
 			}
@@ -498,8 +259,8 @@ func (sh *shard) serveAnswer(r *runner, s *shardSet, a event) {
 		}
 		if fan > 0 {
 			sh.fanout += fan
-			if sh.telView != nil {
-				sh.telView.Multicast(finish, fan)
+			if sh.view != nil {
+				sh.view.Multicast(finish, fan)
 			}
 		}
 	}
@@ -510,5 +271,17 @@ func (sh *shard) serveAnswer(r *runner, s *shardSet, a event) {
 		sh.push(s, next, event{time: finish, msg: m, idx: a.idx + 1})
 		return
 	}
-	sh.done = append(sh.done, doneRec{at: a, seq: seq, msg: m, finish: finish, res: r.answerResult(m)})
+	sh.settle(r, doneRec{at: a, seq: seq, msg: m, finish: finish, res: r.answerResult(m)})
+}
+
+// liveWaiters compacts a waiter list in place, keeping only lookups
+// still parked at this node.
+func (sh *shard) liveWaiters(r *runner, node metric.Point, ws []int) []int {
+	kept := ws[:0]
+	for _, w := range ws {
+		if _, ok := sh.pitWait[w]; ok && r.pos[w] == node {
+			kept = append(kept, w)
+		}
+	}
+	return kept
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -27,10 +28,11 @@ type aggEntry struct {
 	finish float64
 }
 
-// runner is one engine run's mutable state: a single event loop whose
-// events both modes share, plus the per-mode message representation
-// (precomputed paths in snapshot mode, in-flight walkers in live
-// mode).
+// runner is one engine run's mutable state. Both modes serve through
+// the same per-node FIFOs (serveAt); snapshot mode replays precomputed
+// paths from its own heap, and every live plan runs the shard loop
+// (shard.go) — one eagerly settled shard, or several synchronized at
+// window barriers (horizon.go).
 type runner struct {
 	g     *graph.Graph
 	msgs  []Message
@@ -41,7 +43,6 @@ type runner struct {
 	err   error
 
 	serviceTime float64
-	h           *mathx.Heap[event]
 	queues      []nodeQueue
 	inject      []float64
 
@@ -57,10 +58,16 @@ type runner struct {
 	seenPromos int
 	seenEvicts int
 
-	// Snapshot mode: forwarder paths of routed messages, the routed
-	// frontier, each message's schedule entries (sched.Initial bucketed
-	// by Msg, preserving order), and closed-loop injections unlocked
-	// before their message was routed (admitted when its batch routes).
+	// seq tallies the services charged by code that runs outside any
+	// shard drain: snapshot replay and churn gossip.
+	seq tally
+
+	// Snapshot mode: the replay heap, forwarder paths of routed
+	// messages, the routed frontier, each message's schedule entries
+	// (sched.Initial bucketed by Msg, preserving order), and closed-loop
+	// injections unlocked before their message was routed (admitted
+	// when its batch routes).
+	h          *mathx.Heap[event]
 	paths      [][]metric.Point
 	delivered  []bool
 	routed     int
@@ -74,44 +81,44 @@ type runner struct {
 	// loop frontier instead of replaying the prefix.
 	fullyPrimed bool
 
-	// Live mode: one walker per in-flight message, its current node,
-	// and the instant of the decision being made (read by the live
-	// congestion closure).
+	// Live mode: one walker per in-flight message and its current node,
+	// the shard loop, and — under the windowed plan only — injections
+	// waiting for a window to admit them (nil under the eager plan, so
+	// unlock pushes straight onto the heap).
 	router   *route.Router
 	walkers  []*route.Walker
 	pos      []metric.Point
-	now      float64
-	injected int       // injection events popped, the live decay cadence
+	injected int       // injections admitted, the live decay cadence
 	doneAt   []float64 // completion time per message, -1 while in flight
+	shards   *shardSet
+	pend     *mathx.Heap[Injection]
 
-	// Live congestion signal: services charged so far, per node and in
-	// total (snapshot mode charges at routing time instead).
+	// Live congestion signal (Penalty or DepthPenalty set; such runs are
+	// single-shard by plan): the instant of the decision being made and
+	// the services charged so far, per node and in total — written only
+	// when congested — plus the alive-node count the load term
+	// normalizes by. Read only by the congestion closure.
+	congested    bool
+	now          float64
 	charged      []int
 	totalCharged int
 	alive        int
 
-	// Live aggregation state.
-	agg       map[aggKey]aggEntry
+	// Live aggregation state (the coalescing maps are per shard).
 	followers [][]int
 	merged    []bool
 
-	// Live PIT state (ModeLivePIT, sequential loop; shards carry their
-	// own twins — see pit.go). pit maps (node, key) to the pending
-	// interest planted by the last request service there. pitWait maps a
-	// suppressed message to the suppression count its valid timeout
-	// event carries: a popped timeout with a stale count is superseded
-	// and ignored. waits counts suppressions per message (monotone),
-	// waitIdx remembers the event idx the message was suppressed at, so
-	// its release or re-forward continues the idx sequence past every
-	// event already pushed. expiredOnce flips when a message's wait
-	// expires: a lookup that already sat out one interest lifetime is
-	// never suppressed again, so chained strandings cannot stack
-	// timeouts — the protocol's worst lawful wait is one lifetime per
-	// lookup. answering flips when a message starts its answer leg;
+	// Live PIT state (the interest tables are per shard — see pit.go).
+	// waits counts suppressions per message (monotone), waitIdx
+	// remembers the event idx the message was suppressed at, so its
+	// release or re-forward continues the idx sequence past every event
+	// already pushed. expiredOnce flips when a message's wait expires: a
+	// lookup that already sat out one interest lifetime is never
+	// suppressed again, so chained strandings cannot stack timeouts —
+	// the protocol's worst lawful wait is one lifetime per lookup.
+	// answering flips when a message starts its answer leg;
 	// ansPath/ansAt/ansTarget hold the reverse path, the index of the
 	// next node to service, and the delivery target the answer reports.
-	pit         map[aggKey]*pitEntry
-	pitWait     map[int]int
 	waits       []int
 	waitIdx     []int
 	expiredOnce []bool
@@ -120,16 +127,60 @@ type runner struct {
 	ansPath     [][]metric.Point
 	ansTarget   []metric.Point
 
-	// Sharded live mode: injections waiting for a window to admit them
-	// (nil in the sequential modes — unlock routes around it), and the
-	// shard set itself, so barrier-time churn code can push events to
-	// the owning shard's heap (runner.pushEvent). See horizon.go.
-	pend    *mathx.Heap[Injection]
-	sharded *shardSet
-
 	// Node dynamics (Config.Churn enabled; nil otherwise — every churn
 	// site checks). See churn.go.
 	churn *churnState
+}
+
+// tally is one event-processing context's share of the outcome's
+// service counters and its telemetry view, folded into the Outcome
+// when the run ends. Each shard owns one, written only from its own
+// drain; the runner owns one (seq) for the code between drains.
+type tally struct {
+	view          *telemetry.View // nil = telemetry disabled
+	services      int
+	maxQueueDepth int
+	makespan      float64
+	suppressed    int
+	fanout        int
+	expired       int
+}
+
+// fold adds a tally into the outcome.
+func (r *runner) fold(c *tally) {
+	r.out.Services += c.services
+	r.out.Suppressed += c.suppressed
+	r.out.MulticastFanout += c.fanout
+	r.out.PITExpired += c.expired
+	if c.maxQueueDepth > r.out.MaxQueueDepth {
+		r.out.MaxQueueDepth = c.maxQueueDepth
+	}
+	if c.makespan > r.out.Makespan {
+		r.out.Makespan = c.makespan
+	}
+}
+
+// serveAt runs one FIFO service at node for an arrival at time `at`,
+// charging it to the node's load, to tally c, and — when the run has a
+// live congestion signal — to the charged-load counters.
+func (r *runner) serveAt(c *tally, node metric.Point, at float64) (start, finish float64, depth int) {
+	start, finish, depth = r.queues[node].serve(at, r.serviceTime)
+	r.out.Loads[node]++
+	c.services++
+	if depth > c.maxQueueDepth {
+		c.maxQueueDepth = depth
+	}
+	if finish > c.makespan {
+		c.makespan = finish
+	}
+	if c.view != nil {
+		c.view.Service(at, depth)
+	}
+	if r.congested {
+		r.charged[node]++
+		r.totalCharged++
+	}
+	return start, finish, depth
 }
 
 func newRunner(g *graph.Graph, msgs []Message, sched Schedule, cfg Config, root *rng.Source) *runner {
@@ -142,7 +193,6 @@ func newRunner(g *graph.Graph, msgs []Message, sched Schedule, cfg Config, root 
 		root:        root,
 		tel:         cfg.Telemetry,
 		serviceTime: 1 / cfg.Capacity,
-		h:           newEventHeap(n),
 		queues:      make([]nodeQueue, g.Size()),
 		inject:      make([]float64, n),
 		out: &Outcome{
@@ -168,16 +218,16 @@ func newRunner(g *graph.Graph, msgs []Message, sched Schedule, cfg Config, root 
 		for i := range r.doneAt {
 			r.doneAt[i] = -1
 		}
-		r.charged = make([]int, g.Size())
 		r.alive = g.AliveCount()
+		if cfg.Penalty > 0 || cfg.DepthPenalty > 0 {
+			r.congested = true
+			r.charged = make([]int, g.Size())
+		}
 		if cfg.Mode.Aggregate() {
-			r.agg = make(map[aggKey]aggEntry)
 			r.followers = make([][]int, n)
 			r.merged = make([]bool, n)
 		}
 		if cfg.Mode.PIT() {
-			r.pit = make(map[aggKey]*pitEntry)
-			r.pitWait = make(map[int]int)
 			r.waits = make([]int, n)
 			r.waitIdx = make([]int, n)
 			r.expiredOnce = make([]bool, n)
@@ -187,6 +237,7 @@ func newRunner(g *graph.Graph, msgs []Message, sched Schedule, cfg Config, root 
 			r.ansTarget = make([]metric.Point, n)
 		}
 	} else {
+		r.h = newEventHeap(n)
 		r.paths = make([][]metric.Point, n)
 		r.delivered = make([]bool, n)
 		r.initialFor = make([][]Injection, n)
@@ -288,11 +339,12 @@ func (r *runner) cacheDelta(t float64) {
 }
 
 // ---------------------------------------------------------------------
-// Snapshot mode: the classic route-then-replay pipeline, folded into
-// the shared event loop. Routing happens in congestion-snapshot
-// batches; each batch's injections are admitted as it routes, and the
-// loop is advanced only as far as the depth probes need, so the final
-// event sequence is identical to replaying everything at once.
+// Snapshot mode: the classic route-then-replay pipeline, as a small
+// replay loop over precomputed paths. Routing happens in
+// congestion-snapshot batches; each batch's injections are admitted as
+// it routes, and the loop is advanced only as far as the depth probes
+// need, so the final event sequence is identical to replaying
+// everything at once.
 // ---------------------------------------------------------------------
 
 func (r *runner) runSnapshot() {
@@ -389,19 +441,19 @@ func (r *runner) runSnapshot() {
 			}
 		}
 		r.routed = end
-		r.admit(start, end)
+		r.admitBatch(start, end)
 		if r.tel != nil && r.caching {
 			// Promotions triggered by this batch's Observe calls.
 			r.cacheDelta(r.out.LastInject)
 		}
 	}
-	r.drain()
+	r.advanceThrough(math.Inf(1))
 }
 
-// admit enqueues the injections of messages [start, end): their
+// admitBatch enqueues the injections of messages [start, end): their
 // schedule entries known up front, plus any closed-loop injection
 // unlocked while the message was still unrouted.
-func (r *runner) admit(start, end int) {
+func (r *runner) admitBatch(start, end int) {
 	for m := start; m < end; m++ {
 		for _, inj := range r.initialFor[m] {
 			r.enqueue(inj)
@@ -535,16 +587,118 @@ func (r *runner) routeRange(opt route.Options, start, end int, targets [][]metri
 	return firstErr
 }
 
+// enqueue admits one snapshot-mode injection, chasing chains of
+// path-less messages (which complete at their injection instant and
+// may unlock further injections) and stashing injections whose message
+// is not yet routed.
+func (r *runner) enqueue(inj Injection) {
+	for {
+		msg := inj.Msg
+		if msg >= r.routed {
+			// Unlocked before its batch routed: admitted with the batch.
+			r.pendingAt[msg] = inj.Time
+			r.hasPending[msg] = true
+			return
+		}
+		r.injectAt(msg, inj.Time)
+		if len(r.paths[msg]) > 0 {
+			r.h.Push(event{time: inj.Time, msg: msg, idx: 0})
+			return
+		}
+		if r.tel != nil {
+			// A path-less snapshot message never enters a queue: it
+			// completes at its injection instant.
+			r.tel.Complete(msg, inj.Time, r.delivered[msg], r.servedKind(msg, r.out.Results[msg]))
+		}
+		if r.sched.Completed == nil {
+			return
+		}
+		next, ok := r.sched.Completed(msg, inj.Time)
+		if !ok {
+			return
+		}
+		inj = next
+	}
+}
+
+// advanceThrough replays every queued snapshot event with time at most
+// t.
+func (r *runner) advanceThrough(t float64) {
+	for r.h.Len() > 0 && r.h.Peek().time <= t {
+		r.replayHop(r.h.Pop())
+	}
+}
+
+// replayHop serves one snapshot-mode arrival at the next node of its
+// precomputed path and either forwards the message to the following
+// node or completes it there.
+func (r *runner) replayHop(a event) {
+	node := r.paths[a.msg][a.idx]
+	start, finish, depth := r.serveAt(&r.seq, node, a.time)
+	if r.seq.view != nil {
+		r.seq.view.Hop(a.msg, node, a.time, start, finish, depth, telemetry.DecisionSnapshot)
+	}
+	if a.idx+1 < len(r.paths[a.msg]) {
+		r.h.Push(event{time: finish, msg: a.msg, idx: a.idx + 1})
+		return
+	}
+	if r.delivered[a.msg] {
+		r.out.Latencies = append(r.out.Latencies, finish-r.inject[a.msg])
+	}
+	if r.tel != nil {
+		r.tel.Complete(a.msg, finish, r.delivered[a.msg], r.servedKind(a.msg, r.out.Results[a.msg]))
+	}
+	if r.sched.Completed != nil {
+		if next, ok := r.sched.Completed(a.msg, finish); ok {
+			r.enqueue(next)
+		}
+	}
+}
+
+// injectAt records message msg entering the network at time t.
+func (r *runner) injectAt(msg int, t float64) {
+	r.inject[msg] = t
+	r.out.Injected++
+	if t > r.out.LastInject {
+		r.out.LastInject = t
+	}
+	if r.tel != nil {
+		r.tel.Inject(msg, t, r.msgs[msg].From, r.msgs[msg].Key)
+	}
+}
+
 // ---------------------------------------------------------------------
-// Live mode: walkers advance one hop per service completion, reading
-// live congestion state; same-key lookups meeting in a queue coalesce.
+// Live mode: walkers advance one hop per service completion through
+// the shard loop (shard.go). PlanLiveSequential runs it as one shard
+// that settles every side effect the moment it is produced;
+// PlanLiveSharded runs several shards in windows (horizon.go).
 // ---------------------------------------------------------------------
 
-func (r *runner) runLive() {
+// runLive starts the live loop under the resolved plan: the router
+// (with the live congestion closure when configured) and the shard
+// set, then either the eager drain or the windowed one.
+func (r *runner) runLive(plan ExecutionPlan) {
+	shards := 1
+	if plan == PlanLiveSharded {
+		shards = r.cfg.Shards
+	}
+	r.startLive(shards)
+	if shards > 1 {
+		r.runSharded()
+		return
+	}
+	for _, inj := range r.sched.Initial {
+		r.unlock(inj)
+	}
+	r.drainEager()
+}
+
+// startLive builds the live router and a shard set of the given size.
+func (r *runner) startLive(shards int) {
 	cfg := r.cfg
 	ropt := cfg.Route
 	ropt.TracePath = true
-	if cfg.Penalty > 0 || cfg.DepthPenalty > 0 {
+	if r.congested {
 		// The live congestion signal: charged load relative to the
 		// current mean live-node load, plus the candidate's queue depth
 		// at the instant of the decision. Reading r.now and the queues
@@ -562,13 +716,35 @@ func (r *runner) runLive() {
 		ropt.CongestionWeight = 1
 	}
 	r.router = route.New(r.g, ropt)
-	for _, inj := range r.sched.Initial {
-		r.enqueue(inj)
-		if r.err != nil {
+	r.shards = newShardSet(r, shards)
+}
+
+// drainEager runs the one-shard plan to exhaustion. With churn
+// attached the op queue interleaves on the same clock; ops win ties,
+// so a message event popped at t sees the graph and membership state
+// as of t, and the loop runs until both traffic and gossip quiesce.
+func (r *runner) drainEager() {
+	s := r.shards
+	sh := s.shards[0]
+	for r.err == nil {
+		if r.churn.nextOpBefore(peekTime(sh.h), sh.h.Len() == 0) {
+			r.churnOp(r.churn.ops.Pop())
+			continue
+		}
+		if sh.h.Len() == 0 {
 			return
 		}
+		sh.process(r, s, sh.h.Pop())
 	}
-	r.drain()
+}
+
+// peekTime is the heap's next event time (unused when the heap is
+// empty — nextOpBefore checks heapEmpty first).
+func peekTime(h *mathx.Heap[event]) float64 {
+	if h.Len() == 0 {
+		return 0
+	}
+	return h.Peek().time
 }
 
 // targetsFor resolves a message's routing target set at injection
@@ -585,15 +761,77 @@ func (r *runner) targetsFor(msg int) []metric.Point {
 	return []metric.Point{r.msgs[msg].Key}
 }
 
-// unlock admits an injection released by a completion: straight into
-// the event loop in the sequential modes, into the pending set for the
-// next window's admission pass in sharded mode.
+// unlock takes a live injection — primed up front or released by a
+// completion. The windowed plan parks it in the pending set for the
+// next window's admission pass; the eager plan records it and pushes
+// its first arrival, whose walker is created when the event pops.
 func (r *runner) unlock(inj Injection) {
 	if r.pend != nil {
 		r.pend.Push(inj)
 		return
 	}
-	r.enqueue(inj)
+	r.injectAt(inj.Msg, inj.Time)
+	r.shards.shards[0].h.Push(event{time: inj.Time, msg: inj.Msg, idx: 0})
+}
+
+// admitLive performs a live message's virtual injection instant: it
+// ticks the decay cadence and creates the walker against the placement
+// and congestion state of that instant. The eager plan calls it when
+// the message's first arrival pops, the windowed plan from its
+// admission pass. It reports false when the message does not enter the
+// loop — it was born delivered or born unroutable, or walker creation
+// failed (r.err).
+func (r *runner) admitLive(msg int, at float64) bool {
+	r.injected++
+	if r.decaying && r.injected%r.cfg.BatchSize == 0 {
+		// One half-life every BatchSize injections — the same
+		// staleness knob snapshot mode ties its boundaries to.
+		r.cfg.Placement.Decay()
+		if r.tel != nil {
+			r.cacheDelta(at)
+		}
+	}
+	from := r.msgs[msg].From
+	if r.churn != nil && !r.g.Alive(from) {
+		// The source died before this lookup was injected: the client
+		// behind the dead portal enters at the nearest alive node.
+		p, ok := r.reattachOrigin(from)
+		if !ok {
+			r.err = errExtinct
+			return false
+		}
+		from = p
+	}
+	w, err := r.router.Walker(r.root.Derive(16+uint64(msg)), from, r.targetsFor(msg))
+	if err != nil {
+		if r.churn != nil {
+			// Under churn a lookup can be born unroutable — every replica
+			// of its key dead at this instant. That is a failed search,
+			// not a configuration error.
+			r.bornFailed(msg, at)
+			return false
+		}
+		r.err = err
+		return false
+	}
+	r.walkers[msg] = w
+	if w.Done() {
+		// Born delivered: the lookup completes at its injection
+		// instant without entering a queue.
+		r.completeBorn(msg, at)
+		return false
+	}
+	r.pos[msg] = w.At()
+	return true
+}
+
+// step makes walker w's forwarding decision at time t; under live
+// congestion the decision reads the signal as of t.
+func (r *runner) step(w *route.Walker, t float64) bool {
+	if r.congested {
+		r.now = t
+	}
+	return w.Step()
 }
 
 // completeBorn finalizes a zero-hop lookup at its injection instant:
@@ -621,11 +859,11 @@ func (r *runner) completeLive(msg int, at float64, res route.Result) {
 	r.out.Results[msg] = res
 	r.doneAt[msg] = at
 	if res.Delivered {
-		// Zero-hop lookups complete inside enqueue and never reach here,
+		// Zero-hop lookups complete at admission and never reach here,
 		// so every delivered completion contributes a queueing latency —
 		// coalesced lookups included (they waited in a queue too).
 		r.out.Latencies = append(r.out.Latencies, at-r.inject[msg])
-		if r.caching && r.pit == nil && (r.merged == nil || !r.merged[msg]) {
+		if r.caching && !r.cfg.Mode.PIT() && (r.merged == nil || !r.merged[msg]) {
 			// Only real deliveries feed popularity: a coalesced lookup's
 			// partial path does not end at the key, so observing it
 			// would corrupt the forwarder counts. PIT mode observes at
@@ -643,9 +881,6 @@ func (r *runner) completeLive(msg int, at float64, res route.Result) {
 	if r.sched.Completed != nil {
 		if next, ok := r.sched.Completed(msg, at); ok {
 			r.unlock(next)
-			if r.err != nil {
-				return
-			}
 		}
 	}
 	if r.followers != nil {
@@ -654,261 +889,7 @@ func (r *runner) completeLive(msg int, at float64, res route.Result) {
 			fr.Delivered = res.Delivered
 			fr.Target = res.Target
 			r.completeLive(f, at, fr)
-			if r.err != nil {
-				return
-			}
 		}
 		r.followers[msg] = nil
 	}
-}
-
-// ---------------------------------------------------------------------
-// The shared event loop.
-// ---------------------------------------------------------------------
-
-// enqueue admits one injection. In live mode it creates the message's
-// walker (resolving replica targets against the live placement) and
-// chases chains of born-delivered lookups; in snapshot mode it chases
-// path-less chains, stashing injections whose message is not yet
-// routed.
-func (r *runner) enqueue(inj Injection) {
-	for {
-		msg := inj.Msg
-		if !r.cfg.Mode.Live() && msg >= r.routed {
-			// Unlocked before its batch routed: admitted with the batch.
-			r.pendingAt[msg] = inj.Time
-			r.hasPending[msg] = true
-			return
-		}
-		r.inject[msg] = inj.Time
-		r.out.Injected++
-		if inj.Time > r.out.LastInject {
-			r.out.LastInject = inj.Time
-		}
-		if r.tel != nil {
-			r.tel.Inject(msg, inj.Time, r.msgs[msg].From, r.msgs[msg].Key)
-		}
-		if r.cfg.Mode.Live() {
-			// The walker is created when this event pops — at the
-			// message's virtual injection time, in event order — so its
-			// replica targets and first forwarding decision read the
-			// placement and congestion state of that instant, not of
-			// whenever the schedule happened to be primed.
-			r.h.Push(event{time: inj.Time, msg: msg, idx: 0})
-			return
-		}
-		if len(r.paths[msg]) > 0 {
-			r.h.Push(event{time: inj.Time, msg: msg, idx: 0})
-			return
-		}
-		if r.tel != nil {
-			// A path-less snapshot message never enters a queue: it
-			// completes at its injection instant.
-			r.tel.Complete(msg, inj.Time, r.delivered[msg], r.servedKind(msg, r.out.Results[msg]))
-		}
-		if r.sched.Completed == nil {
-			return
-		}
-		next, ok := r.sched.Completed(msg, inj.Time)
-		if !ok {
-			return
-		}
-		inj = next
-	}
-}
-
-// advanceThrough processes every queued event with time at most t.
-func (r *runner) advanceThrough(t float64) {
-	for r.err == nil && r.h.Len() > 0 && r.h.Peek().time <= t {
-		r.processOne(r.h.Pop())
-	}
-}
-
-// drain processes the loop to exhaustion. With churn attached the op
-// queue interleaves on the same clock; ops win ties, so a message
-// event popped at t sees the graph and membership state as of t, and
-// the loop runs until both traffic and gossip quiesce.
-func (r *runner) drain() {
-	for r.err == nil {
-		if r.churn.nextOpBefore(peekTime(r.h), r.h.Len() == 0) {
-			r.churnOp(r.churn.ops.Pop())
-			continue
-		}
-		if r.h.Len() == 0 {
-			return
-		}
-		r.processOne(r.h.Pop())
-	}
-}
-
-// peekTime is the heap's next event time (unused when the heap is
-// empty — nextOpBefore checks heapEmpty first).
-func peekTime(h *mathx.Heap[event]) float64 {
-	if h.Len() == 0 {
-		return 0
-	}
-	return h.Peek().time
-}
-
-// admitLive performs a live message's virtual injection instant: it
-// ticks the decay cadence and creates the walker against the live
-// placement. It reports false when the loop should not continue with
-// this event — the message was born delivered, or walker creation
-// failed.
-func (r *runner) admitLive(a event) bool {
-	r.injected++
-	if r.decaying && r.injected%r.cfg.BatchSize == 0 {
-		// One half-life every BatchSize injections — the same
-		// staleness knob snapshot mode ties its boundaries to.
-		r.cfg.Placement.Decay()
-		if r.tel != nil {
-			r.cacheDelta(a.time)
-		}
-	}
-	from := r.msgs[a.msg].From
-	if r.churn != nil && !r.g.Alive(from) {
-		// The source died before this lookup was injected: the client
-		// behind the dead portal enters at the nearest alive node.
-		p, ok := r.reattachOrigin(from)
-		if !ok {
-			r.err = errExtinct
-			return false
-		}
-		from = p
-	}
-	w, err := r.router.Walker(r.root.Derive(16+uint64(a.msg)), from, r.targetsFor(a.msg))
-	if err != nil {
-		if r.churn != nil {
-			// Under churn a lookup can be born unroutable — every replica
-			// of its key dead at this instant. That is a failed search,
-			// not a configuration error.
-			r.bornFailed(a.msg, a.time)
-			return false
-		}
-		r.err = err
-		return false
-	}
-	r.walkers[a.msg] = w
-	if w.Done() {
-		// Born delivered: the lookup completes at its injection
-		// instant without entering a queue.
-		r.completeBorn(a.msg, a.time)
-		return false
-	}
-	r.pos[a.msg] = w.At()
-	return true
-}
-
-// processOne handles one arrival: the message joins the node's FIFO,
-// is served for serviceTime ticks, and — in live mode — decides its
-// next hop at that service, reading live congestion state. In
-// aggregate mode the arrival may instead coalesce onto a pending
-// same-key service and never occupy the queue at all; PIT mode has
-// its own arrival discipline (pit.go).
-func (r *runner) processOne(a event) {
-	if r.pit != nil {
-		r.processPIT(a)
-		return
-	}
-	var node metric.Point
-	if r.cfg.Mode.Live() {
-		if a.idx == 0 {
-			if !r.admitLive(a) {
-				return
-			}
-		}
-		node = r.pos[a.msg]
-		if r.churn != nil && !r.g.Alive(node) {
-			// The node died since this hop was scheduled: the message
-			// strands here and resumes after the probe window (churn.go).
-			r.strand(a.msg, a.idx, a.time)
-			return
-		}
-	} else {
-		node = r.paths[a.msg][a.idx]
-	}
-	if r.agg != nil {
-		key := aggKey{node: node, key: r.msgs[a.msg].Key}
-		if e, ok := r.agg[key]; ok && a.time < e.finish {
-			// A same-key lookup is queued or in service here: ride along.
-			r.merged[a.msg] = true
-			r.out.Aggregated++
-			if r.tel != nil {
-				r.tel.Merge(a.msg, a.time)
-			}
-			if r.doneAt[e.leader] >= 0 {
-				// The carrier already completed (its later hops resolved
-				// before this arrival was popped); settle immediately at
-				// the carrier's completion time.
-				lr := r.out.Results[e.leader]
-				fr := r.walkers[a.msg].Result()
-				fr.Delivered = lr.Delivered
-				fr.Target = lr.Target
-				r.completeLive(a.msg, r.doneAt[e.leader], fr)
-			} else {
-				r.followers[e.leader] = append(r.followers[e.leader], a.msg)
-			}
-			return
-		}
-	}
-	q := &r.queues[node]
-	depth := q.depthAt(a.time) + 1
-	if depth > r.out.MaxQueueDepth {
-		r.out.MaxQueueDepth = depth
-	}
-	start := a.time
-	if q.busyUntil > start {
-		start = q.busyUntil
-	}
-	finish := start + r.serviceTime
-	q.busyUntil = finish
-	q.finish = append(q.finish, finish)
-	r.out.Loads[node]++
-	r.out.Services++
-	if r.tel != nil {
-		r.tel.Service(a.time, depth)
-	}
-	if finish > r.out.Makespan {
-		r.out.Makespan = finish
-	}
-	if !r.cfg.Mode.Live() {
-		if r.tel != nil {
-			r.tel.Hop(a.msg, node, a.time, start, finish, depth, telemetry.DecisionSnapshot)
-		}
-		if a.idx+1 < len(r.paths[a.msg]) {
-			r.h.Push(event{time: finish, msg: a.msg, idx: a.idx + 1})
-			return
-		}
-		if r.delivered[a.msg] {
-			r.out.Latencies = append(r.out.Latencies, finish-r.inject[a.msg])
-		}
-		if r.tel != nil {
-			r.tel.Complete(a.msg, finish, r.delivered[a.msg], r.servedKind(a.msg, r.out.Results[a.msg]))
-		}
-		if r.sched.Completed != nil {
-			if next, ok := r.sched.Completed(a.msg, finish); ok {
-				r.enqueue(next)
-			}
-		}
-		return
-	}
-	// Live: this node's service is one unit of charged load, visible to
-	// every later forwarding decision.
-	r.charged[node]++
-	r.totalCharged++
-	if r.agg != nil {
-		r.agg[aggKey{node: node, key: r.msgs[a.msg].Key}] = aggEntry{leader: a.msg, finish: finish}
-	}
-	w := r.walkers[a.msg]
-	r.now = a.time
-	stepped := w.Step()
-	if r.tel != nil {
-		r.tel.Hop(a.msg, node, a.time, start, finish, depth, hopDecision(w))
-	}
-	if stepped {
-		r.pos[a.msg] = w.At()
-		r.h.Push(event{time: finish, msg: a.msg, idx: a.idx + 1})
-		return
-	}
-	r.completeLive(a.msg, finish, w.Result())
 }

@@ -8,56 +8,51 @@ import (
 	"repro/internal/mathx"
 	"repro/internal/metric"
 	"repro/internal/route"
-	"repro/internal/telemetry"
 )
 
-// This file is the parallel half of the sharded live loop: the
-// per-core shard state and the window drain that runs concurrently.
-// horizon.go owns the sequential half — window selection, injection
-// admission, and the barrier that replays deferred side effects in
-// global event order. Together they implement conservative parallel
-// discrete-event simulation with a lookahead of one service time:
+// This file is the live event loop: the shard state, the one function
+// that handles a live arrival (shard.process, with its PIT branch in
+// pit.go), and the settle step every globally ordered side effect goes
+// through. A shard owns a contiguous region of nodes and its own event
+// heap; the loop runs under one of two settlements:
 //
-//   - Nodes partition into Config.Shards contiguous regions of the
-//     space's point order (shardOf). Contiguous index ranges are slabs
-//     along the space's first axis, so torus neighbours mostly
-//     co-shard and most hops stay on one heap.
-//   - Every event processed at time t schedules its successor at
-//     finish ≥ t + 1/Capacity, so inside a window [W, W+1/Capacity)
-//     no event — local or remote — can create work another shard
-//     would have to see in the same window. Each shard drains its own
-//     heap below the horizon without locks.
-//   - A successor hopping to another shard's node is not pushed
-//     directly (the destination heap is being drained concurrently);
-//     it lands in a per-destination outbox and is merged at the
-//     barrier in (time, msg, idx) order.
-//   - Side effects whose order is globally visible — completions,
-//     aggregation merges, latency records, closed-loop unlocks, and
-//     churn strand parks — are deferred as doneRecs keyed by the
-//     triggering event and replayed sequentially at the barrier in
-//     (time, msg, idx) order, which is exactly the order the
-//     sequential loop produced them in. That replay, not luck, is what
-//     makes every Shards value byte-identical.
+//   - Eager (PlanLiveSequential): one shard owns every node and drains
+//     its heap in (time, msg, idx) order, interleaved with churn ops
+//     (runner.drainEager). Pop order is the global event order, so each
+//     side effect applies the moment it is produced, and a message's
+//     walker is created when its first arrival pops — congestion and
+//     caching read placement and load at that instant.
+//   - Barrier (PlanLiveSharded): conservative parallel discrete-event
+//     simulation with a lookahead of one service time — an
+//     α-synchronizer whose degenerate one-shard case is the eager plan.
+//     Every event processed at time t schedules its successor at
+//     finish ≥ t + 1/Capacity, so inside a window [W, W+1/Capacity) no
+//     event can create work another shard would have to see in the same
+//     window, and every shard drains its own heap below the horizon
+//     without locks. A successor hopping to another shard's node lands
+//     in a per-destination outbox, merged at the barrier. Side effects
+//     whose order is globally visible — completions, aggregation
+//     merges, latency records, closed-loop unlocks, churn strand parks —
+//     are recorded as doneRecs keyed by the triggering event and
+//     replayed at the barrier in (time, msg, idx) order through the same
+//     apply function the eager plan calls. That replay, not luck, is
+//     what makes every Shards value byte-identical. Window selection and
+//     admission live in horizon.go.
 //
-// Churn extends the model without touching the drains: membership
-// mutations (crashes, joins, link redraws, gossip rounds) apply only
-// between windows — horizon.go clips every window at the next churn-op
-// instant — so within a drain the graph is as immutable as ever. The
-// one churn artifact a drain can produce is a strand (an arrival at a
-// node that died at an earlier barrier); its park is deferred like a
-// completion, and its resume op lands at or beyond the horizon because
-// eligibility requires ProbeTimeout ≥ the lookahead.
+// Churn extends the barrier model without touching the drains:
+// membership mutations apply only between windows — every window is
+// clipped at the next churn-op instant — so within a drain the graph is
+// immutable. The one churn artifact a drain can produce is a strand (an
+// arrival at a node that died at an earlier barrier); its park settles
+// like a completion, and its resume op lands at or beyond the horizon
+// because eligibility requires ProbeTimeout ≥ the lookahead.
 //
 // Node-indexed state (queues, Loads) needs no deferral: a message
 // occupies exactly one node per event, so within a window each slot is
 // touched only by its owning shard, in that shard's pop order — the
-// same relative order the sequential loop used, because events at one
-// node never straddle shards.
-//
-// The live congestion counters (charged, totalCharged) are not
-// maintained here: a shardable configuration has no congestion signal
-// to read them (that is what makes it shardable), and totalCharged
-// would be the one genuinely shared hot-path counter.
+// same relative order the eager plan uses, because events at one node
+// never straddle shards. The live congestion counters are written only
+// by congested runs, which the plan confines to one shard.
 
 // shardOf maps a node to its owning shard: the contiguous partition
 // p ∈ [s·size/shards, (s+1)·size/shards) ⇒ s, computed without
@@ -66,38 +61,37 @@ func shardOf(p metric.Point, shards, size int) int {
 	return int(uint64(p) * uint64(shards) / uint64(size))
 }
 
-// doneRec defers one globally-ordered side effect out of the parallel
-// drain. at is the popped event that triggered it — the global replay
-// key — and seq the ordinal within that pop: a PIT answer service can
+// doneRec is one globally ordered side effect of processing an event.
+// at is the popped event that produced it — the global replay key —
+// and seq the ordinal within that pop: a PIT answer service can
 // complete several messages at once (origin-parked waiters, then
 // possibly the answering lookup itself), so (at, seq) keys records
-// uniquely and in the sequential loop's side-effect order. msg is the
-// message the record completes, which under PIT multicast need not be
-// the popped event's.
+// uniquely and in production order. msg is the message the record
+// settles, which under PIT multicast need not be the popped event's.
 type doneRec struct {
 	at     event
 	seq    int
 	msg    int
 	merge  bool
-	strand bool         // churn: the arrival found its node dead; park at the barrier
+	strand bool         // churn: the arrival found its node dead; park it
 	leader int          // merge: the aggregation carrier; strand: the idx to resume from
 	finish float64      // terminal: the final service's completion time
 	res    route.Result // terminal: the walker's final result
 }
 
 // shard is one partition's event loop: its own heap, outboxes toward
-// every other shard, deferred side effects, and window-local copies of
-// the counters the sequential loop accumulates globally.
+// every other shard, side effects awaiting the barrier, and its tally
+// of the outcome's service counters.
 type shard struct {
 	id     int
+	eager  bool // the only shard: settle side effects at once
 	h      *mathx.Heap[event]
 	outbox [][]event // per destination shard, reused across windows
-	done   []doneRec // deferred side effects, in pop (= event) order
+	done   []doneRec // side effects awaiting the barrier, in pop order
 
 	// agg is this shard's slice of the aggregation state: it is keyed
-	// by (node, key) with node always shard-owned, so the sequential
-	// loop's one global map becomes per-shard maps with no concurrent
-	// access and the same contents. Nil unless aggregating.
+	// by (node, key) with node always shard-owned, so no map is ever
+	// touched by two shards. Nil unless aggregating.
 	agg map[aggKey]aggEntry
 
 	// pit/pitWait are this shard's slice of the PIT state, sharded on
@@ -107,20 +101,11 @@ type shard struct {
 	pit     map[aggKey]*pitEntry
 	pitWait map[int]int
 
-	// Window-local accumulators, folded into Outcome at the barrier.
-	services      int
-	maxQueueDepth int
-	makespan      float64
-	suppressed    int
-	fanout        int
-	expired       int
-	arriving      int // handoffs headed here, counted during the merge
+	tally
+	arriving int // handoffs headed here, counted during the merge
 
-	// Telemetry (nil = disabled): the shard's private recorder view,
-	// written only from this shard's drain goroutine, plus scratch for
-	// the window's wall-clock profile, read back at the sequential
-	// window epilogue.
-	telView   *telemetry.View
+	// Scratch for the window's wall-clock profile (telemetry on, barrier
+	// plan only), read back at the sequential window epilogue.
 	drainSecs float64
 	winEvents int
 }
@@ -131,12 +116,14 @@ type shardSet struct {
 	shards []*shard
 	size   int       // node count, the shardOf denominator
 	moved  []event   // cross-shard handoffs being merged
-	recs   []doneRec // deferred side effects being merged
+	recs   []doneRec // side effects being replayed
 	active []*shard  // shards with work below the current horizon
 }
 
-func newShardSet(r *runner) *shardSet {
-	n := r.cfg.Shards
+// newShardSet partitions the live loop into n shards. One shard is the
+// eager plan: it reports through the sequential telemetry view and
+// needs no scheduler profile.
+func newShardSet(r *runner, n int) *shardSet {
 	s := &shardSet{
 		shards: make([]*shard, n),
 		size:   r.g.Size(),
@@ -144,7 +131,7 @@ func newShardSet(r *runner) *shardSet {
 	}
 	per := len(r.msgs)/n + 1
 	for i := range s.shards {
-		sh := &shard{id: i, h: newEventHeap(per), outbox: make([][]event, n)}
+		sh := &shard{id: i, eager: n == 1, h: newEventHeap(per), outbox: make([][]event, n)}
 		if r.cfg.Mode.Aggregate() {
 			sh.agg = make(map[aggKey]aggEntry)
 		}
@@ -155,13 +142,17 @@ func newShardSet(r *runner) *shardSet {
 		s.shards[i] = sh
 	}
 	if r.tel != nil {
-		// Views are handed out here, sequentially, before any window
-		// drains; the occupancy histogram's range bounds events per
-		// shard-window, which a hot window can push into the
-		// hops-per-message regime — 2^20 buckets it log-scale.
-		r.tel.SchedInit(n, 1<<20)
-		for _, sh := range s.shards {
-			sh.telView = r.tel.View(sh.id)
+		if n == 1 {
+			s.shards[0].view = r.seq.view
+		} else {
+			// Views are handed out here, sequentially, before any window
+			// drains; the occupancy histogram's range bounds events per
+			// shard-window, which a hot window can push into the
+			// hops-per-message regime — 2^20 buckets it log-scale.
+			r.tel.SchedInit(n, 1<<20)
+			for _, sh := range s.shards {
+				sh.view = r.tel.View(sh.id)
+			}
 		}
 	}
 	return s
@@ -177,7 +168,7 @@ func (s *shardSet) owner(p metric.Point) *shard {
 // window's start — or false when the simulation is drained. Churn ops
 // count because gossip rounds outlive traffic: the loop must keep
 // opening (possibly event-free) windows until membership quiesces,
-// exactly as the sequential drain does.
+// exactly as the eager drain does.
 func (s *shardSet) nextTime(r *runner) (float64, bool) {
 	t, ok := 0.0, false
 	if r.pend.Len() > 0 {
@@ -247,7 +238,7 @@ func (s *shardSet) profileWindow(r *runner) {
 
 // drain processes the shard's events strictly below the horizon.
 func (sh *shard) drain(r *runner, s *shardSet, horizon float64) {
-	if sh.telView != nil {
+	if sh.view != nil {
 		sh.drainProfiled(r, s, horizon)
 		return
 	}
@@ -269,24 +260,27 @@ func (sh *shard) drainProfiled(r *runner, s *shardSet, horizon float64) {
 	sh.winEvents = n
 }
 
-// process is the sharded twin of runner.processOne's live path. The
-// walker already exists (admission created it — see horizon.go), the
-// aggregation map is keyed by shard-owned nodes, and everything whose
-// order another shard could observe becomes a doneRec instead of
-// happening here.
+// process handles one live arrival, under either plan: the message
+// joins the node's FIFO, is served for serviceTime ticks, and decides
+// its next hop at that service. Under the eager plan a message's first
+// arrival also creates its walker (admitLive). In aggregate mode the
+// arrival may instead coalesce onto a pending same-key service and
+// never occupy the queue; PIT mode has its own arrival discipline
+// (pit.go). Everything whose order another shard could observe goes
+// through settle.
 func (sh *shard) process(r *runner, s *shardSet, a event) {
 	if sh.pit != nil {
 		sh.processPIT(r, s, a)
 		return
 	}
+	if a.idx == 0 && r.walkers[a.msg] == nil && !r.admitLive(a.msg, a.time) {
+		return
+	}
 	node := r.pos[a.msg]
 	if r.churn != nil && !r.g.Alive(node) {
-		// The node died at a barrier since this hop was scheduled: the
-		// message strands here. The park itself (counter, telemetry, the
-		// probe-timeout resume op) is a globally-ordered side effect —
-		// its op seq must match the sequential loop's assignment order —
-		// so it defers to the barrier like a completion.
-		sh.done = append(sh.done, doneRec{at: a, msg: a.msg, strand: true, leader: a.idx})
+		// The node died since this hop was scheduled: the message
+		// strands here and resumes after the probe window (churn.go).
+		sh.settle(r, doneRec{at: a, msg: a.msg, strand: true, leader: a.idx})
 		return
 	}
 	if sh.agg != nil {
@@ -295,59 +289,91 @@ func (sh *shard) process(r *runner, s *shardSet, a event) {
 			// A same-key lookup is queued or in service here: ride along.
 			// Whether it settles now or waits on the carrier depends on
 			// doneAt, which earlier-keyed events elsewhere may still
-			// change — the barrier decides, in event order.
-			sh.done = append(sh.done, doneRec{at: a, msg: a.msg, merge: true, leader: e.leader})
+			// change — settlement decides, in event order.
+			sh.settle(r, doneRec{at: a, msg: a.msg, merge: true, leader: e.leader})
 			return
 		}
 	}
-	q := &r.queues[node]
-	depth := q.depthAt(a.time) + 1
-	if depth > sh.maxQueueDepth {
-		sh.maxQueueDepth = depth
-	}
-	start := a.time
-	if q.busyUntil > start {
-		start = q.busyUntil
-	}
-	finish := start + r.serviceTime
-	q.busyUntil = finish
-	q.finish = append(q.finish, finish)
-	r.out.Loads[node]++
-	sh.services++
-	if finish > sh.makespan {
-		sh.makespan = finish
-	}
+	start, finish, depth := r.serveAt(&sh.tally, node, a.time)
 	if sh.agg != nil {
 		sh.agg[aggKey{node: node, key: r.msgs[a.msg].Key}] = aggEntry{leader: a.msg, finish: finish}
 	}
 	w := r.walkers[a.msg]
-	stepped := w.Step()
-	if sh.telView != nil {
-		// Window counters go to the shard's private view; the flight
-		// hop append is safe because this shard owns the message for
-		// this event (same ownership argument as r.pos).
-		sh.telView.Service(a.time, depth)
-		sh.telView.Hop(a.msg, node, a.time, start, finish, depth, hopDecision(w))
+	stepped := r.step(w, a.time)
+	if sh.view != nil {
+		// The flight hop append is safe because this shard owns the
+		// message for this event (same ownership argument as r.pos).
+		sh.view.Hop(a.msg, node, a.time, start, finish, depth, hopDecision(w))
 	}
 	if stepped {
 		next := w.At()
 		r.pos[a.msg] = next
-		e := event{time: finish, msg: a.msg, idx: a.idx + 1}
-		if d := s.owner(next); d == sh {
-			sh.h.Push(e)
-		} else {
-			sh.outbox[d.id] = append(sh.outbox[d.id], e)
-		}
+		sh.push(s, next, event{time: finish, msg: a.msg, idx: a.idx + 1})
 		return
 	}
-	sh.done = append(sh.done, doneRec{at: a, msg: a.msg, finish: finish, res: w.Result()})
+	sh.settle(r, doneRec{at: a, msg: a.msg, finish: finish, res: w.Result()})
+}
+
+// push routes a successor event to its node's shard: own heap or
+// outbox (the eager shard owns every node). Cross-shard events always
+// carry time ≥ the window horizon (they are service finishes of events
+// popped at or after the window start), so merging them at the barrier
+// preserves the lookahead.
+func (sh *shard) push(s *shardSet, node metric.Point, e event) {
+	if sh.eager {
+		sh.h.Push(e)
+	} else if d := s.owner(node); d == sh {
+		sh.h.Push(e)
+	} else {
+		sh.outbox[d.id] = append(sh.outbox[d.id], e)
+	}
+}
+
+// settle takes one globally ordered side effect: applied at once by
+// the eager shard, whose pop order is the global event order; recorded
+// for the barrier's ordered replay otherwise.
+func (sh *shard) settle(r *runner, rec doneRec) {
+	if sh.eager {
+		r.apply(rec)
+		return
+	}
+	sh.done = append(sh.done, rec)
+}
+
+// apply performs one settled side effect: park a stranded message,
+// coalesce a lookup onto its carrier (completing it at once if the
+// carrier already completed), or complete a message.
+func (r *runner) apply(rec doneRec) {
+	msg := rec.msg
+	switch {
+	case rec.strand:
+		r.strand(msg, rec.leader, rec.at.time)
+	case rec.merge:
+		r.merged[msg] = true
+		r.out.Aggregated++
+		if r.tel != nil {
+			r.tel.Merge(msg, rec.at.time)
+		}
+		if r.doneAt[rec.leader] >= 0 {
+			// The carrier already completed (its later hops resolved
+			// before this arrival); settle at its completion time.
+			lr := r.out.Results[rec.leader]
+			fr := r.walkers[msg].Result()
+			fr.Delivered = lr.Delivered
+			fr.Target = lr.Target
+			r.completeLive(msg, r.doneAt[rec.leader], fr)
+		} else {
+			r.followers[rec.leader] = append(r.followers[rec.leader], msg)
+		}
+	default:
+		r.completeLive(msg, rec.finish, rec.res)
+	}
 }
 
 // barrier is the window's sequential epilogue: merge cross-shard
-// handoffs in event order, replay deferred side effects in event
-// order, and fold the window-local counters into the outcome. After
-// it returns the run state is byte-identical to the sequential loop
-// having just processed the same events.
+// handoffs in event order and replay the window's side effects in
+// event order. After it returns the run state is byte-identical to the
+// eager plan having just processed the same events.
 func (s *shardSet) barrier(r *runner) {
 	// Handoffs: collect, order by (time, msg, idx), admit to the
 	// destination heaps. The destination is recomputed from the
@@ -384,12 +410,10 @@ func (s *shardSet) barrier(r *runner) {
 		s.owner(r.pos[e.msg]).h.Push(e)
 	}
 
-	// Deferred side effects, in global event order. Each record runs
-	// the exact code the sequential loop ran at its event's pop, so
-	// doneAt/followers/Latencies/Aggregated and the Completed-hook call
-	// sequence evolve identically. Unlocked injections go to r.pend:
-	// every deferral here carries finish ≥ horizon, so they belong to
-	// later windows by the lookahead argument.
+	// Side effects, in global event order, through the apply step the
+	// eager plan uses. Unlocked injections go to r.pend: every record
+	// here carries finish ≥ horizon, so they belong to later windows by
+	// the lookahead argument.
 	s.recs = s.recs[:0]
 	for _, sh := range s.shards {
 		s.recs = append(s.recs, sh.done...)
@@ -419,51 +443,9 @@ func (s *shardSet) barrier(r *runner) {
 		}
 	}
 	for _, rec := range s.recs {
-		msg := rec.msg
-		if rec.strand {
-			// Replaying strands here, in (at, seq) order, assigns churn-op
-			// sequence numbers in exactly the order the sequential loop's
-			// pops would have — the op queue's deterministic tie-break.
-			r.strand(msg, rec.leader, rec.at.time)
-			continue
-		}
-		if !rec.merge {
-			r.completeLive(msg, rec.finish, rec.res)
-			continue
-		}
-		r.merged[msg] = true
-		r.out.Aggregated++
-		if r.tel != nil {
-			r.tel.Merge(msg, rec.at.time)
-		}
-		if r.doneAt[rec.leader] >= 0 {
-			// The carrier already completed; settle immediately at the
-			// carrier's completion time.
-			lr := r.out.Results[rec.leader]
-			fr := r.walkers[msg].Result()
-			fr.Delivered = lr.Delivered
-			fr.Target = lr.Target
-			r.completeLive(msg, r.doneAt[rec.leader], fr)
-		} else {
-			r.followers[rec.leader] = append(r.followers[rec.leader], msg)
-		}
-	}
-
-	// Window-local counters.
-	for _, sh := range s.shards {
-		r.out.Services += sh.services
-		sh.services = 0
-		r.out.Suppressed += sh.suppressed
-		sh.suppressed = 0
-		r.out.MulticastFanout += sh.fanout
-		sh.fanout = 0
-		r.out.PITExpired += sh.expired
-		sh.expired = 0
-		if sh.maxQueueDepth > r.out.MaxQueueDepth {
-			r.out.MaxQueueDepth = sh.maxQueueDepth
-		}
-		if sh.makespan > r.out.Makespan {
-			r.out.Makespan = sh.makespan
-		}
+		// Strand parks replayed here, in (at, seq) order, take churn-op
+		// sequence numbers in exactly the eager plan's order — the op
+		// queue's deterministic tie-break.
+		r.apply(rec)
 	}
 }

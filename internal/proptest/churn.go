@@ -76,10 +76,11 @@ func CheckShardInvarianceChurn(t testing.TB, build func(testing.TB) *graph.Graph
 	return want
 }
 
-// CheckChurnLedger asserts the churn conservation identities every run
-// must satisfy exactly: message conservation, the strand ledger, and
-// rumor resolution (every applied event's rumor ends converged or
-// abandoned — the run drains to membership quiescence).
+// CheckChurnLedger asserts the conservation identities every live run
+// must satisfy exactly: message conservation, the strand ledger, rumor
+// resolution (every applied event's rumor ends converged or abandoned —
+// the run drains to membership quiescence), and the PIT ledger (every
+// suppression ends exactly once, released by a multicast or expired).
 func CheckChurnLedger(t testing.TB, res *load.Result) {
 	t.Helper()
 	if res.Injected != res.Delivered+res.Failed {
@@ -93,5 +94,9 @@ func CheckChurnLedger(t testing.TB, res *load.Result) {
 	if res.RumorsConverged+res.RumorsAbandoned != res.Crashes+res.Joins {
 		t.Errorf("rumor ledger broke: %d converged + %d abandoned != %d crashes + %d joins",
 			res.RumorsConverged, res.RumorsAbandoned, res.Crashes, res.Joins)
+	}
+	if res.Suppressed != res.MulticastFanout+res.PITExpired {
+		t.Errorf("PIT ledger broke: suppressed %d != fanout %d + expired %d",
+			res.Suppressed, res.MulticastFanout, res.PITExpired)
 	}
 }

@@ -525,32 +525,9 @@ func (r *Recorder) Merge(msg int, t float64) {
 	}
 }
 
-// Suppress records one PIT suppression at virtual time t: a request
-// parked as a waiter on a pending same-key interest instead of
-// forwarding. Sequential-loop form; shard drains use View.Suppress.
-func (r *Recorder) Suppress(t float64) {
-	if run := r.cur; run != nil {
-		run.win.at(run.window(t)).Suppressions++
-	}
-}
-
-// Multicast records one PIT answer multicast at virtual time t
-// releasing fanout waiters.
-func (r *Recorder) Multicast(t float64, fanout int) {
-	if run := r.cur; run != nil {
-		run.win.at(run.window(t)).Multicasts += fanout
-	}
-}
-
-// PITExpire records one wait ending by timeout at virtual time t.
-func (r *Recorder) PITExpire(t float64) {
-	if run := r.cur; run != nil {
-		run.win.at(run.window(t)).PITExpiries++
-	}
-}
-
 // Churn records one applied churn event at virtual time t: a node
-// crash or a join. Sequential-loop only — churn runs never shard.
+// crash or a join. Churn events apply between shard drains, so this is
+// always called from sequential code.
 func (r *Recorder) Churn(t float64, crash bool) {
 	if run := r.cur; run != nil {
 		c := run.win.at(run.window(t))
@@ -646,18 +623,20 @@ func (v *View) Service(t float64, depth int) {
 	}
 }
 
-// Suppress is the shard-drain form of Recorder.Suppress: the counter
-// lands in the shard's private series and folds at EndRun.
+// Suppress records one PIT suppression at virtual time t: a request
+// parked as a waiter on a pending same-key interest instead of
+// forwarding.
 func (v *View) Suppress(t float64) {
 	v.s.at(v.run.window(t)).Suppressions++
 }
 
-// Multicast is the shard-drain form of Recorder.Multicast.
+// Multicast records one PIT answer multicast at virtual time t
+// releasing fanout waiters.
 func (v *View) Multicast(t float64, fanout int) {
 	v.s.at(v.run.window(t)).Multicasts += fanout
 }
 
-// PITExpire is the shard-drain form of Recorder.PITExpire.
+// PITExpire records one wait ending by timeout at virtual time t.
 func (v *View) PITExpire(t float64) {
 	v.s.at(v.run.window(t)).PITExpiries++
 }
