@@ -96,11 +96,17 @@ type Builder struct {
 	src     *rng.Source
 	sampler metric.LinkSampler
 	dim     int
-	// inLinks is a reverse index: inLinks[v] lists nodes that (as of
-	// the last time we touched them) held a long link to v. Entries go
-	// stale when links are redirected elsewhere; readers re-verify
-	// against the graph, so staleness only costs a skipped scan entry.
-	inLinks map[metric.Point][]metric.Point
+	// inLinks is a reverse index indexed by point: inLinks[v] lists, in
+	// the order the links were made, nodes that (as of the last time we
+	// touched them) held a long link to v. Entries go stale when links
+	// are redirected elsewhere and repeat when a node links to v twice;
+	// Remove re-verifies against the graph, so a stale entry only costs
+	// a skipped scan. The order is what Remove redraws links in, so it
+	// is part of the seeded behaviour.
+	inLinks [][]metric.Point
+	// weights is solicit's scratch: the §5 weight of each of the
+	// solicited node's long links, in slot order.
+	weights []float64
 }
 
 // NewBuilder returns a Builder over an initially empty space of any
@@ -122,7 +128,7 @@ func NewBuilder(space metric.Space, cfg Config, src *rng.Source) (*Builder, erro
 		src:     src,
 		sampler: sampler,
 		dim:     space.Dim(),
-		inLinks: make(map[metric.Point][]metric.Point),
+		inLinks: make([][]metric.Point, space.Size()),
 	}, nil
 }
 
@@ -177,7 +183,7 @@ func (b *Builder) Add(p metric.Point) error {
 // "can be used for regeneration of links when a node crashes").
 func (b *Builder) Remove(p metric.Point) error {
 	holders := b.inLinks[p]
-	delete(b.inLinks, p)
+	b.inLinks[p] = nil
 	if err := b.g.RemoveNode(p); err != nil {
 		return err
 	}
@@ -279,10 +285,14 @@ func (b *Builder) solicit(u, v metric.Point) error {
 		return nil
 	}
 
+	w := b.weights[:0]
 	sum := pNew
 	for _, lk := range long {
-		sum += b.weight(sp.Distance(u, lk.To))
+		wi := b.weight(sp.Distance(u, lk.To))
+		w = append(w, wi)
+		sum += wi
 	}
+	b.weights = w
 	if !b.src.Bool(pNew / sum) {
 		return nil // u declines to redirect
 	}
@@ -299,12 +309,12 @@ func (b *Builder) solicit(u, v metric.Point) error {
 		}
 	default: // InverseDistance
 		var mass float64
-		for _, lk := range long {
-			mass += b.weight(sp.Distance(u, lk.To))
+		for _, wi := range w {
+			mass += wi
 		}
 		r := b.src.Float64() * mass
-		for i, lk := range long {
-			r -= b.weight(sp.Distance(u, lk.To))
+		for i, wi := range w {
+			r -= wi
 			if r <= 0 {
 				victim = i
 				break

@@ -281,3 +281,51 @@ func BenchmarkGrow(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkBuilderStep times one §5 maintenance call in the shape of
+// the paper-maintain benchmark workload: a 2^16 ring with ℓ = 16, half
+// its points grown in set-up, then calls alternating Remove of a random
+// present node with Add of a random absent point.
+func BenchmarkBuilderStep(b *testing.B) {
+	sp := mustRing(b, 1<<16)
+	bld, err := NewBuilder(sp, Config{Links: 16}, rng.New(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	perm := rng.New(2).Perm(sp.Size())
+	var present, absent []metric.Point
+	for _, p := range perm[sp.Size()/2:] {
+		absent = append(absent, metric.Point(p))
+	}
+	for _, p := range perm[:sp.Size()/2] {
+		if err := bld.Add(metric.Point(p)); err != nil {
+			b.Fatal(err)
+		}
+		present = append(present, metric.Point(p))
+	}
+	pick := rng.New(3)
+	take := func(set *[]metric.Point) metric.Point {
+		s := *set
+		i := pick.Intn(len(s))
+		p := s[i]
+		s[i] = s[len(s)-1]
+		*set = s[:len(s)-1]
+		return p
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%2 == 0 {
+			p := take(&present)
+			err = bld.Remove(p)
+			absent = append(absent, p)
+		} else {
+			p := take(&absent)
+			err = bld.Add(p)
+			present = append(present, p)
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -15,23 +15,84 @@ import (
 // ErrEmpty is returned by statistics helpers that require at least one sample.
 var ErrEmpty = errors.New("mathx: empty sample set")
 
+// harmonicDirect is the bound below which Harmonic sums directly:
+// harmonicTable[n] holds H_n for 0 <= n < harmonicDirect.
+const harmonicDirect = 256
+
+// harmonicTable is the prefix table of the direct sums, filled by the
+// same left-to-right h += 1/i loop, so every entry is bit-identical to
+// summing 1/1 + … + 1/n afresh.
+var harmonicTable = func() (t [harmonicDirect]float64) {
+	h := 0.0
+	for i := 1; i < harmonicDirect; i++ {
+		h += 1 / float64(i)
+		t[i] = h
+	}
+	return t
+}()
+
 // Harmonic returns the n-th harmonic number H_n = sum_{i=1..n} 1/i.
 // For n <= 0 it returns 0. For large n it uses the asymptotic expansion
 // H_n ≈ ln n + γ + 1/(2n) − 1/(12n²), which is accurate to well below
-// 1e-10 for n ≥ 256; below that it sums directly.
+// 1e-10 for n ≥ 256; below that it reads the direct sum from a table.
 func Harmonic(n int) float64 {
 	if n <= 0 {
 		return 0
 	}
-	if n < 256 {
-		h := 0.0
-		for i := 1; i <= n; i++ {
-			h += 1 / float64(i)
-		}
-		return h
+	if n < harmonicDirect {
+		return harmonicTable[n]
 	}
 	fn := float64(n)
 	return math.Log(fn) + EulerGamma + 1/(2*fn) - 1/(12*fn*fn)
+}
+
+// HarmonicIndex inverts Harmonic: it returns the smallest d in [1, max]
+// with Harmonic(d) > target, or max+1 when there is none (1 when
+// max < 1). Harmonic is strictly increasing in floating point (for n up
+// to 2^40 at least: 1/n stays far above its rounding error), so this is
+// exactly the index a binary search over Harmonic(1..max) finds, and
+// drawing d = HarmonicIndex(u·H_max, max) for uniform u in [0, 1)
+// samples Pr[d] ∝ 1/d.
+//
+// Below H_255 it binary-searches the direct-sum table. Above, it starts
+// from d = ⌊e^(target−γ)⌋, which the expansion puts within one of the
+// answer, and settles the answer with exact Harmonic comparisons: about
+// three logarithms instead of one per bisection step.
+func HarmonicIndex(target float64, max int) int {
+	if max < 1 {
+		return 1
+	}
+	if target < harmonicTable[harmonicDirect-1] {
+		lo, hi := 1, MinInt(max, harmonicDirect-1)+1
+		for lo < hi {
+			mid := (lo + hi) / 2
+			if harmonicTable[mid] > target {
+				hi = mid
+			} else {
+				lo = mid + 1
+			}
+		}
+		return lo
+	}
+	if max < harmonicDirect {
+		return max + 1
+	}
+	// Clamp in floating point: the guess may be huge, +Inf or NaN.
+	d := max
+	if x := math.Exp(target - EulerGamma); x < float64(max) {
+		d = MaxInt(int(x), harmonicDirect)
+	}
+	if Harmonic(d) > target {
+		// H_255 <= target, so the walk down stops by d = 256.
+		for d > harmonicDirect && Harmonic(d-1) > target {
+			d--
+		}
+		return d
+	}
+	for d < max && !(Harmonic(d+1) > target) {
+		d++
+	}
+	return d + 1
 }
 
 // EulerGamma is the Euler–Mascheroni constant γ.

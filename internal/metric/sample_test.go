@@ -183,3 +183,24 @@ func TestDegenerateSamplers(t *testing.T) {
 		t.Error("singleton torus must have no targets")
 	}
 }
+
+// TestRingSamplerAllocs pins the ring's harmonic link draw — the one
+// construct.Builder makes for every §5 link — as allocation-free.
+func TestRingSamplerAllocs(t *testing.T) {
+	ring, err := NewRing(1 << 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := ring.NewLinkSampler(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := rng.New(1)
+	p := Point(0)
+	if avg := testing.AllocsPerRun(1000, func() {
+		q, _ := s.Sample(p, src)
+		p = q
+	}); avg != 0 {
+		t.Errorf("ring link draw allocates %.2f per draw, want 0", avg)
+	}
+}

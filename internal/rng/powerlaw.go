@@ -12,9 +12,11 @@ import (
 // proportional to 1/d — the inverse power-law distribution with exponent
 // 1 that the paper proves is (nearly) optimal for greedy routing.
 //
-// Sampling inverts the CDF H_d / H_max. Because H_d is monotone and
-// cheap to evaluate (mathx.Harmonic), a binary search gives O(log max)
-// draws with no precomputed tables, so a sampler per node costs nothing.
+// Sampling inverts the CDF H_d / H_max with mathx.HarmonicIndex, which
+// reads a 256-entry table of H_d for short distances and otherwise
+// inverts the asymptotic expansion of H_d with about three logarithms:
+// constant time per draw and no per-sampler tables, so a sampler per
+// node costs nothing.
 type HarmonicSampler struct {
 	max  int
 	hmax float64
@@ -34,13 +36,7 @@ func (hs *HarmonicSampler) Max() int { return hs.max }
 
 // Sample draws one distance from src.
 func (hs *HarmonicSampler) Sample(src *Source) int {
-	target := src.Float64() * hs.hmax
-	// Find the smallest d with H_d > target. H_0 = 0 < target for
-	// target > 0, so the search is well-defined; target == 0 yields d=1.
-	d := sort.Search(hs.max, func(i int) bool {
-		return mathx.Harmonic(i+1) > target
-	})
-	return d + 1
+	return mathx.HarmonicIndex(src.Float64()*hs.hmax, hs.max)
 }
 
 // Prob returns the probability mass of distance d under the sampler.
@@ -60,11 +56,7 @@ func SampleHarmonic(src *Source, max int) int {
 	if max <= 1 {
 		return 1
 	}
-	target := src.Float64() * mathx.Harmonic(max)
-	d := sort.Search(max, func(i int) bool {
-		return mathx.Harmonic(i+1) > target
-	})
-	return d + 1
+	return mathx.HarmonicIndex(src.Float64()*mathx.Harmonic(max), max)
 }
 
 // PowerLawSampler draws distances d in [1, max] with probability

@@ -168,6 +168,23 @@ func TestPowerLawSamplerHighExponentConcentrates(t *testing.T) {
 	}
 }
 
+// TestHarmonicSampleAllocs pins the §5 hot path's draw as
+// allocation-free: the inverse reads a table or evaluates Harmonic, with
+// no closure or per-draw buffer.
+func TestHarmonicSampleAllocs(t *testing.T) {
+	hs, err := NewHarmonicSampler(1 << 17)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(1)
+	if avg := testing.AllocsPerRun(1000, func() { SampleHarmonic(s, 1<<16) }); avg != 0 {
+		t.Errorf("SampleHarmonic allocates %.2f per draw, want 0", avg)
+	}
+	if avg := testing.AllocsPerRun(1000, func() { hs.Sample(s) }); avg != 0 {
+		t.Errorf("HarmonicSampler.Sample allocates %.2f per draw, want 0", avg)
+	}
+}
+
 func BenchmarkHarmonicSample(b *testing.B) {
 	hs, err := NewHarmonicSampler(1 << 17)
 	if err != nil {
